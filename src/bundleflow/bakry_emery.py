@@ -5,7 +5,10 @@ The state is (g, f, N) with N != n an extended real.  The flow is
     dg/dt = -2 (Ric + Hess f - df x df / (N - n))
     df/dt = Delta f - |grad f|^2
 
-integrated with fixed-step RK4 in a fixed background gauge.  The monitored
+integrated in a fixed background gauge by the fixed-step RK4 driver of
+``integrate`` (step cap, halving and extinction guard are documented
+there).  Every right-hand side computes the base geometry once
+(``diffgeo.base_geometry``).  The monitored
 scalars are the density scalar curvature barS = g^{bc} barRic_bc and
 
     tildeS_k = barS + Delta f - (k + 1) |grad f|^2 ,
@@ -22,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import hessian_field, ricci_field, spd_inverse
-from .errors import BlowupTime, DomainError, SingularMetric, StepRejected
-from .grids import MetricField, ScalarField, grad, require_same_chart
+from .diffgeo import base_geometry, hessian_field
+from .errors import BlowupTime, DomainError
+from .grids import MetricField, ScalarField, grad, require_same_chart, unchecked
+from .integrate import fixed_step_integrate, rk4_halving
 
 DEFAULT_K_VALUES = (0, 1)
 
@@ -67,26 +71,12 @@ class BEMonitors:
 
 
 def _ingredients(g: MetricField, f: ScalarField):
-    ric = ricci_field(g)
-    hess = hessian_field(f, g)
+    geo = base_geometry(g)
+    hess = hessian_field(f, g, geo)
     df = grad(f.values, f.chart)
-    g_inv = spd_inverse(g.values)
-    lap = np.einsum("...bc,...bc->...", g_inv, hess)
-    grad_sq = np.einsum("...bc,...b,...c->...", g_inv, df, df)
-    return ric, hess, df, g_inv, lap, grad_sq
-
-
-def ricci_fN(g: MetricField, f: ScalarField, N: float) -> np.ndarray:
-    """Ric + Hess f - (df x df) / (N - n) at every node; the last term is 0 at N = inf."""
-    require_same_chart(g, f)
-    n = g.chart.dims
-    if N == n:
-        raise DomainError("N must differ from n")
-    ric, hess, df, _, _, _ = _ingredients(g, f)
-    out = ric + hess
-    if not math.isinf(N):
-        out = out - np.einsum("...b,...c->...bc", df, df) / (N - n)
-    return out
+    lap = np.einsum("...bc,...bc->...", geo.g_inv, hess)
+    grad_sq = np.einsum("...bc,...b,...c->...", geo.g_inv, df, df)
+    return geo.ric, hess, df, geo.g_inv, lap, grad_sq
 
 
 def be_rhs(s: BEState):
@@ -113,29 +103,18 @@ def monitors(s: BEState, k_values=DEFAULT_K_VALUES) -> BEMonitors:
 
 
 def be_step(s: BEState, dt: float, max_halvings: int = 20) -> BEState:
-    """One RK4 step; halves dt on loss of positive definiteness (kept internal
-    to the step, the returned state carries the time actually advanced)."""
+    """One RK4 step; dt is halved while the metric loses positive definiteness,
+    and the returned state carries the time actually advanced."""
     chart = s.g.chart
 
-    def rhs(gv, fv):
-        state = BEState(MetricField(chart, gv), ScalarField(chart, fv), s.N, s.t)
-        return be_rhs(state)
+    def rhs(t, y):
+        return be_rhs(BEState(unchecked(MetricField, chart=chart, values=y[0]),
+                              unchecked(ScalarField, chart=chart, values=y[1]), s.N, t))
 
-    gv, fv = s.g.values, s.f.values
-    dt_step = dt
-    for _ in range(max_halvings + 1):
-        try:
-            k1 = rhs(gv, fv)
-            k2 = rhs(gv + 0.5 * dt_step * k1[0], fv + 0.5 * dt_step * k1[1])
-            k3 = rhs(gv + 0.5 * dt_step * k2[0], fv + 0.5 * dt_step * k2[1])
-            k4 = rhs(gv + dt_step * k3[0], fv + dt_step * k3[1])
-            g_new = gv + dt_step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            f_new = fv + dt_step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            return BEState(MetricField(chart, g_new), ScalarField(chart, f_new),
-                           s.N, s.t + dt_step)
-        except (np.linalg.LinAlgError, SingularMetric, DomainError):
-            dt_step *= 0.5
-    raise StepRejected(f"step kept failing after {max_halvings} halvings at t={s.t:g}")
+    def accept(t, y):
+        return BEState(MetricField(chart, y[0]), ScalarField(chart, y[1]), s.N, t)
+
+    return rk4_halving(rhs, s.t, (s.g.values, s.f.values), dt, accept, max_halvings)
 
 
 @dataclass
@@ -153,36 +132,16 @@ def be_integrate(s0: BEState, dt: float, t_end: float,
                  scheme: str = "rk4", k_values=DEFAULT_K_VALUES,
                  c_cfl: float = 0.2, record_every: int = 1,
                  extinction_ratio: float = 1e-6) -> BETrace:
-    """Integrate the density flow, recording states and monitors.
-
-    dt is capped by c_cfl * h_min^2 / max |g^{-1}| (recomputed each step);
-    stops early with reason "ExtinctionGuard" when the smallest metric
-    eigenvalue falls below ``extinction_ratio`` times its initial value.
-    """
+    """Integrate the density flow with ``integrate.fixed_step_integrate``,
+    recording states and their monitors.  The extinction guard watches the
+    smallest eigenvalue of g."""
     if scheme != "rk4":
         raise DomainError(f"unknown scheme '{scheme}'")
-    if dt <= 0 or t_end <= s0.t:
-        raise DomainError("need dt > 0 and t_end > start time")
-    h_min = min(s0.g.chart.spacing)
-    guard = extinction_ratio * float(np.min(np.linalg.eigvalsh(s0.g.values)))
-
-    states = [s0]
-    mons = [monitors(s0, k_values)]
-    s = s0
-    stop_reason = "Horizon"
-    step_index = 0
-    while s.t < t_end - 1e-14:
-        min_eig = float(np.min(np.linalg.eigvalsh(s.g.values)))
-        if min_eig <= guard:
-            stop_reason = "ExtinctionGuard"
-            break
-        cap = c_cfl * h_min * h_min * max(min_eig, 1e-300)
-        dt_step = min(dt, cap, t_end - s.t)
-        s = be_step(s, dt_step)
-        step_index += 1
-        if step_index % record_every == 0 or s.t >= t_end - 1e-14:
-            states.append(s)
-            mons.append(monitors(s, k_values))
+    records, stop_reason = fixed_step_integrate(
+        be_step, s0, lambda s: (s.g.values,), dt, t_end,
+        h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every,
+        extinction_ratio=extinction_ratio, record=lambda s: (s, monitors(s, k_values)))
+    states, mons = (list(x) for x in zip(*records))
     return BETrace(states, mons, stop_reason)
 
 

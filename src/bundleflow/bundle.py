@@ -11,6 +11,12 @@ fiber metric is right-invariant, so its derivative along the fiber frame is
 E_s Q_jk = c_sjk + c_skj with c_ijk = c_ij^m Q_mk.  Arrays may carry leading
 batch axes (grid nodes, random samples); every contraction is written with
 an explicit einsum against g_inv / Q_inv.
+
+The torus-bundle flow of (g, Q, alpha) on a periodic chart runs on the
+fixed-step RK4 driver of ``integrate`` (step cap, halving and extinction
+guard are documented there).  Each right-hand-side stage computes the base
+geometry once (``diffgeo.base_geometry``) and wraps its trial arrays without
+re-validating them; accepted states are validated as fields.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import christoffel_field, ricci_field, spd_inverse
-from .errors import DimensionMismatch, DomainError, SingularMetric, StepRejected
+from .diffgeo import base_geometry, hessian_field, spd_inverse
+from .errors import DimensionMismatch, DomainError
 from .grids import (ConnectionField, MetricField, QField, ScalarField,
-                    grad, require_same_chart, second_derivs)
+                    grad, require_same_chart, second_derivs, unchecked)
+from .integrate import fixed_step_integrate, rk4_halving
 
 BLOCK_SYMMETRY_TOL = 1e-10
 
@@ -257,9 +264,8 @@ def bundle_data_from_fields(g: MetricField, Q: QField,
     chart = require_same_chart(g, Q, alpha)
     if Q.q != alpha.q:
         raise DimensionMismatch("fiber dimensions of Q and the connection differ")
-    g_inv = spd_inverse(g.values)
-    gamma = christoffel_field(g)
-    ric_base = ricci_field(g)
+    geo = base_geometry(g)
+    g_inv, gamma = geo.g_inv, geo.gamma
     DQ = grad(Q.values, chart)
     DDQ = second_derivs(Q.values, chart) - np.einsum("...tbc,...tjk->...bcjk", gamma, DQ)
     F = curvature_from_connection(alpha)
@@ -272,7 +278,7 @@ def bundle_data_from_fields(g: MetricField, Q: QField,
         Q=Q.values, Q_inv=spd_inverse(Q.values),
         DQ=DQ, DDQ=DDQ, F=F, divF=divF,
         c=StructureConstants.abelian(Q.q),
-        ric_base=ric_base, ric_fiber_alg=np.zeros_like(Q.values))
+        ric_base=geo.ric, ric_fiber_alg=np.zeros_like(Q.values))
 
 
 def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBundleData:
@@ -284,10 +290,9 @@ def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBund
     right-hand side built from the same stencils.
     """
     chart = require_same_chart(g, f)
-    g_inv = spd_inverse(g.values)
-    gamma = christoffel_field(g)
+    geo = base_geometry(g)
     df = grad(f.values, chart)
-    hess = second_derivs(f.values, chart) - np.einsum("...tbc,...t->...bc", gamma, df)
+    hess = hessian_field(f, g, geo)
     e = np.exp(-2.0 * f.values / q)
     eye = np.eye(q)
     shape_grid = f.values.shape
@@ -298,12 +303,12 @@ def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBund
     DDQ = (e[..., None, None] * ddfac)[..., None, None] * eye
     d = chart.dims
     return PointwiseBundleData(
-        g=g.values, g_inv=g_inv, gamma=gamma,
+        g=g.values, g_inv=geo.g_inv, gamma=geo.gamma,
         Q=Qv, Q_inv=(1.0 / e)[..., None, None] * eye,
         DQ=DQ, DDQ=DDQ,
         F=np.zeros(shape_grid + (q, d, d)), divF=np.zeros(shape_grid + (q, d)),
         c=StructureConstants.abelian(q),
-        ric_base=ricci_field(g), ric_fiber_alg=np.zeros(shape_grid + (q, q)))
+        ric_base=geo.ric, ric_fiber_alg=np.zeros(shape_grid + (q, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,74 +358,33 @@ class BundleState:
     t: float
 
 
-def _min_eig(values: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(values)))
+def _bundle_step(s: BundleState, dt: float, max_halvings: int) -> BundleState:
+    """One RK4 step of the torus-bundle flow, halved while g or Q loses definiteness."""
+    chart, q, q_a, linear = s.g.chart, s.Q.q, s.alpha.q, s.alpha.linear
+
+    def rhs(t, y):
+        return flow_rhs_torus(unchecked(MetricField, chart=chart, values=y[0]),
+                              unchecked(QField, chart=chart, q=q, values=y[1]),
+                              unchecked(ConnectionField, chart=chart, q=q_a,
+                                        values=y[2], linear=linear))
+
+    def accept(t, y):
+        return BundleState(MetricField(chart, y[0]), QField(chart, q, y[1]),
+                           ConnectionField(chart, q_a, y[2], linear), t)
+
+    return rk4_halving(rhs, s.t, (s.g.values, s.Q.values, s.alpha.values), dt, accept,
+                       max_halvings)
 
 
 def bundle_integrate(state0: BundleState, dt: float, t_end: float,
                      record_every: int = 1, c_cfl: float = 0.2,
                      extinction_ratio: float = 1e-6, max_halvings: int = 20):
-    """Fixed-step RK4 integration of the torus-bundle flow on a periodic chart.
-
-    dt is capped by c_cfl * h_min^2 / max |g^{-1}| recomputed per step; a step
-    producing an indefinite g or Q is halved and retried (StepRejected after
-    ``max_halvings``).  Stops early with reason "ExtinctionGuard" when the
-    smallest eigenvalue of g or Q falls below ``extinction_ratio`` times its
-    initial value.  Returns (states, stop_reason).
+    """Integrate the torus-bundle flow on a periodic chart with
+    ``integrate.fixed_step_integrate``.  The extinction guard watches the
+    smallest eigenvalues of g and of Q.  Returns (states, stop_reason).
     """
-    if dt <= 0 or t_end <= state0.t:
-        raise DomainError("need dt > 0 and t_end > start time")
     chart = require_same_chart(state0.g, state0.Q, state0.alpha)
-    h_min = min(chart.spacing)
-    guard_g = extinction_ratio * _min_eig(state0.g.values)
-    guard_q = extinction_ratio * _min_eig(state0.Q.values)
-
-    def rhs(gv, qv, av, t):
-        g = MetricField(chart, gv)
-        q = QField(chart, state0.Q.q, qv)
-        a = ConnectionField(chart, state0.alpha.q, av, state0.alpha.linear)
-        return flow_rhs_from_data(bundle_data_from_fields(g, q, a))
-
-    states = [state0]
-    gv, qv, av = state0.g.values, state0.Q.values, state0.alpha.values
-    t = state0.t
-    stop_reason = "Horizon"
-    step_index = 0
-    while t < t_end - 1e-14:
-        inv_norm = 1.0 / max(_min_eig(gv), 1e-300)
-        cap = c_cfl * h_min * h_min / inv_norm
-        dt_step = min(dt, cap, t_end - t)
-        for _ in range(max_halvings + 1):
-            try:
-                k1 = rhs(gv, qv, av, t)
-                k2 = rhs(gv + 0.5 * dt_step * k1[0], qv + 0.5 * dt_step * k1[1],
-                         av + 0.5 * dt_step * k1[2], t + 0.5 * dt_step)
-                k3 = rhs(gv + 0.5 * dt_step * k2[0], qv + 0.5 * dt_step * k2[1],
-                         av + 0.5 * dt_step * k2[2], t + 0.5 * dt_step)
-                k4 = rhs(gv + dt_step * k3[0], qv + dt_step * k3[1],
-                         av + dt_step * k3[2], t + dt_step)
-                g_new = gv + dt_step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                q_new = qv + dt_step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                a_new = av + dt_step / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-                np.linalg.cholesky(0.5 * (g_new + np.swapaxes(g_new, -1, -2)))
-                np.linalg.cholesky(0.5 * (q_new + np.swapaxes(q_new, -1, -2)))
-                break
-            except (np.linalg.LinAlgError, SingularMetric):
-                dt_step *= 0.5
-        else:
-            raise StepRejected(f"step kept failing after {max_halvings} halvings at t={t:g}")
-        gv, qv, av = g_new, q_new, a_new
-        t += dt_step
-        step_index += 1
-        if step_index % record_every == 0 or t >= t_end - 1e-14:
-            states.append(BundleState(
-                MetricField(chart, gv), QField(chart, state0.Q.q, qv),
-                ConnectionField(chart, state0.alpha.q, av, state0.alpha.linear), t))
-        if _min_eig(gv) <= guard_g or _min_eig(qv) <= guard_q:
-            if states[-1].t != t:
-                states.append(BundleState(
-                    MetricField(chart, gv), QField(chart, state0.Q.q, qv),
-                    ConnectionField(chart, state0.alpha.q, av, state0.alpha.linear), t))
-            stop_reason = "ExtinctionGuard"
-            break
-    return states, stop_reason
+    return fixed_step_integrate(
+        _bundle_step, state0, lambda s: (s.g.values, s.Q.values), dt, t_end,
+        h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every,
+        extinction_ratio=extinction_ratio, max_halvings=max_halvings)

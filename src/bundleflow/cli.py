@@ -4,19 +4,19 @@
 
 Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
 configuration is a single JSON document validated strictly (unknown keys are
-rejected) before any work starts.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure, 4 verification failure.  BUNDLEFLOW_THREADS caps
-the number of worker threads used for independent runs.
+rejected, and the step numerics dt, t_end, c_cfl must be finite and positive,
+record_every an integer >= 1) before any work starts.  Exit codes: 0 success,
+2 configuration error, 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,23 +52,6 @@ _NUMERIC_KEYS = {"tol", "dt", "t_end", "resolution", "extent", "h", "record_ever
                  "extinction_ratio", "c_cfl"}
 
 
-def _threads() -> int:
-    raw = os.environ.get("BUNDLEFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"BUNDLEFLOW_THREADS must be an integer, got {raw!r}")
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over independent work items."""
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -96,6 +79,14 @@ def load_config(path: str) -> dict:
     bad = set(numerics) - _NUMERIC_KEYS
     if bad:
         raise ConfigError(f"unknown numerics keys: {sorted(bad)}")
+    for key in ("dt", "t_end", "c_cfl"):
+        value = numerics.get(key, 1.0)  # an absent key takes its (valid) default
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (math.isfinite(value) and value > 0)):
+            raise ConfigError(f"numerics.{key} must be a finite number > 0, got {value!r}")
+    record_every = numerics.get("record_every", 1)
+    if isinstance(record_every, bool) or not isinstance(record_every, int) or record_every < 1:
+        raise ConfigError(f"numerics.record_every must be an integer >= 1, got {record_every!r}")
     return cfg
 
 
@@ -264,7 +255,7 @@ def cmd_verify(cfg: dict, out_dir: str | None, only_check: str | None) -> int:
         if bad:
             raise ConfigError(f"unknown checks {bad}; choose from {names}")
         names = list(requested)
-    results = parallel_map(run_check, names)
+    results = [run_check(name) for name in names]
     for result in results:
         print(result.line())
     report = {
@@ -292,7 +283,7 @@ def cmd_plot(cfg: dict, out_dir: str | None) -> int:
         raise ConfigError("'inputs' must be a directory or a list of trace paths")
     if not paths:
         raise EmptyInput("no trace files to plot")
-    traces = parallel_map(read_trace, paths)
+    traces = [read_trace(p) for p in paths]
     svg = render_phase_portrait(traces, cfg.get("style"))
     path = _out_path(cfg, out_dir, "plot", "portrait.svg")
     atomic_write_text(path, svg)

@@ -114,25 +114,39 @@ def _ricci_point(m: CoordinateMetric, p: np.ndarray, h: float):
 # grid-field path (vectorized over all nodes)
 # ---------------------------------------------------------------------------
 
-def metric_inverse_field(m: MetricField) -> np.ndarray:
-    return spd_inverse(m.values)
+@dataclass(frozen=True)
+class BaseGeometry:
+    """Inverse, Christoffel symbols and Ricci tensor of a grid metric: the base
+    geometry a right-hand-side stage needs, computed once per stage."""
 
-def christoffel_field(m: MetricField) -> np.ndarray:
-    g_inv = spd_inverse(m.values)
+    g_inv: np.ndarray
+    gamma: np.ndarray
+    ric: np.ndarray
+
+
+def christoffel_field(m: MetricField, g_inv: np.ndarray | None = None) -> np.ndarray:
+    if g_inv is None:
+        g_inv = spd_inverse(m.values)
     dg = grad(m.values, m.chart)
     return _christoffel_from_dg(g_inv, dg)
 
 
-def ricci_field_with_defect(m: MetricField):
-    gamma = christoffel_field(m)
+def ricci_field_with_defect(m: MetricField, gamma: np.ndarray | None = None):
+    if gamma is None:
+        gamma = christoffel_field(m)
     d = m.chart.dims
     parts = [deriv(gamma, m.chart, a) for a in range(d)]
     dgamma = np.stack(parts, axis=d)
     return _ricci_from_gamma(gamma, dgamma)
 
 
-def ricci_field(m: MetricField) -> np.ndarray:
-    return ricci_field_with_defect(m)[0]
+def base_geometry(m: MetricField) -> BaseGeometry:
+    """One pass over the metric: a single ``spd_inverse`` (which raises
+    SingularMetric for a metric that lost definiteness) and a single
+    Christoffel field.  dGamma stays a temporary of the Ricci computation."""
+    g_inv = spd_inverse(m.values)
+    gamma = christoffel_field(m, g_inv)
+    return BaseGeometry(g_inv, gamma, ricci_field_with_defect(m, gamma)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +180,11 @@ def ricci(m: MetricLike, p, step: float | None = None) -> np.ndarray:
 # scalar calculus on grid fields
 # ---------------------------------------------------------------------------
 
-def hessian_field(f: ScalarField, m: MetricField) -> np.ndarray:
+def hessian_field(f: ScalarField, m: MetricField,
+                  geo: BaseGeometry | None = None) -> np.ndarray:
     """Hess f_{bc} = d_b d_c f - Gamma^l_{bc} d_l f at every node."""
     require_same_chart(f, m)
-    gamma = christoffel_field(m)
+    gamma = christoffel_field(m) if geo is None else geo.gamma
     ddf = second_derivs(f.values, f.chart)
     df = grad(f.values, f.chart)
     return ddf - np.einsum("...lbc,...l->...bc", gamma, df)
@@ -194,26 +209,6 @@ def drift_laplacian_field(f: ScalarField, u: ScalarField, m: MetricField) -> np.
     df = grad(f.values, f.chart)
     du = grad(u.values, u.chart)
     return laplacian_field(u, m) - np.einsum("...bc,...b,...c->...", g_inv, df, du)
-
-
-def _at(values: np.ndarray, p) -> np.ndarray:
-    return values[tuple(int(i) for i in np.atleast_1d(p))]
-
-
-def hessian(f: ScalarField, m: MetricField, p) -> np.ndarray:
-    return _at(hessian_field(f, m), p)
-
-
-def laplacian(f: ScalarField, m: MetricField, p) -> float:
-    return float(_at(laplacian_field(f, m), p))
-
-
-def drift_laplacian(f: ScalarField, u: ScalarField, m: MetricField, p) -> float:
-    return float(_at(drift_laplacian_field(f, u, m), p))
-
-
-def grad_norm_sq(f: ScalarField, m: MetricField, p) -> float:
-    return float(_at(grad_norm_sq_field(f, m), p))
 
 
 # ---------------------------------------------------------------------------

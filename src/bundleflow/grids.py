@@ -84,6 +84,19 @@ def require_same_chart(*fields) -> PeriodicChart:
     return chart
 
 
+def unchecked(cls, **attrs):
+    """A field object built without running its validation.
+
+    Integrator stages wrap their trial arrays this way: the state a step
+    starts from was validated, the accepted result is validated again, and
+    ``spd_inverse`` still rejects a stage metric that lost definiteness.
+    """
+    obj = object.__new__(cls)
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar sampled at the chart nodes."""

@@ -1,4 +1,15 @@
-"""Explicit Runge-Kutta machinery shared by the reduced-flow integrators.
+"""Explicit Runge-Kutta machinery shared by every flow integrator.
+
+``fixed_step_integrate`` is the one driver of both grid flows (the density
+flow and the torus-bundle flow).  Each step is classical RK4 on a tuple of
+arrays (``rk4_step``), capped at c_cfl * h_min^2 * lambda_min(g).  A step
+whose stages or result lose positive definiteness (``SingularMetric`` or
+``LinAlgError``) is halved and retried, up to ``max_halvings`` times, then
+``StepRejected`` is raised.  After every accepted step the smallest
+eigenvalue of each positive-definite array is compared with
+``extinction_ratio`` times its initial value; at or below it the crossing
+state is recorded and the run stops with "ExtinctionGuard".  Otherwise every
+``record_every``-th state and the final one are recorded.
 
 ``adaptive_rk`` is a Dormand-Prince 5(4) embedded pair with a PI step-size
 controller.  Steps are clamped to requested sample times (if any), every
@@ -9,11 +20,12 @@ integration early.  Everything is deterministic for fixed inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import DomainError, SingularMetric, StepRejected, StepUnderflow
 
 # Dormand-Prince 5(4) tableau
 _A = (
@@ -32,13 +44,73 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 MIN_STEP = 1e-14
 
 
-def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order step."""
+def rk4_step(f: Callable, t: float, y: tuple, dt: float) -> tuple:
+    """One classical fourth-order step of y' = f(t, y) for a tuple of arrays y."""
+    def shifted(k, c):
+        return tuple(yi + c * ki for yi, ki in zip(y, k))
+
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * dt, shifted(k1, 0.5 * dt))
+    k3 = f(t + 0.5 * dt, shifted(k2, 0.5 * dt))
+    k4 = f(t + dt, shifted(k3, dt))
+    return tuple(yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
+def rk4_halving(f: Callable, t: float, y: tuple, dt: float,
+                accept: Callable, max_halvings: int = 20):
+    """One RK4 step, halving dt while a stage or the result is not positive definite.
+
+    ``accept(t_new, y_new)`` validates the new arrays and returns them as the
+    caller's state object.  Returns that object; raises StepRejected after
+    ``max_halvings`` halvings.
+    """
+    for _ in range(max_halvings + 1):
+        try:
+            return accept(t + dt, rk4_step(f, t, y, dt))
+        except (SingularMetric, np.linalg.LinAlgError):
+            dt *= 0.5
+    raise StepRejected(f"step kept failing after {max_halvings} halvings at t={t:g}")
+
+
+def _min_eig(values: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvalsh(values)))
+
+
+def fixed_step_integrate(step: Callable, state0, spd: Callable, dt: float, t_end: float,
+                         h_min: float, c_cfl: float, record_every: int,
+                         extinction_ratio: float, max_halvings: int = 20,
+                         record: Callable = lambda s: s):
+    """Drive ``step(state, dt, max_halvings) -> state`` from ``state0.t`` to t_end.
+
+    ``spd(state)`` returns the state's positive-definite arrays, base metric
+    first; they set the step cap and the extinction guard (module docstring).
+    ``record(state)`` is what gets stored for each recorded state.  Returns
+    (records, stop_reason); records[0] is ``record(state0)``.
+    """
+    if (not (dt > 0 and t_end > state0.t and c_cfl > 0)
+            or not isinstance(record_every, Integral) or record_every < 1):
+        raise DomainError(
+            "need dt > 0, t_end > start time, c_cfl > 0 and an integer record_every >= 1, "
+            f"got dt={dt!r}, t_end={t_end!r}, c_cfl={c_cfl!r}, record_every={record_every!r}")
+    min_eigs = [_min_eig(a) for a in spd(state0)]
+    guards = [extinction_ratio * m for m in min_eigs]
+    records = [record(state0)]
+    s = state0
+    stop_reason = "Horizon"
+    step_index = 0
+    while s.t < t_end - MIN_STEP:
+        cap = c_cfl * h_min * h_min * max(min_eigs[0], 1e-300)
+        s = step(s, min(dt, cap, t_end - s.t), max_halvings)
+        step_index += 1
+        min_eigs = [_min_eig(a) for a in spd(s)]
+        crossed = any(m <= g for m, g in zip(min_eigs, guards))
+        if crossed or step_index % record_every == 0 or s.t >= t_end - MIN_STEP:
+            records.append(record(s))
+        if crossed:
+            stop_reason = "ExtinctionGuard"
+            break
+    return records, stop_reason
 
 
 @dataclass

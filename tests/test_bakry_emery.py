@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bundleflow.bakry_emery import (BEState, be_integrate, be_rhs, be_step,
-                                    gradient_bound, monitors, ricci_fN)
+                                    gradient_bound, monitors)
+from bundleflow.diffgeo import ricci_field_with_defect
 from bundleflow.errors import BlowupTime, DomainError
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField
 
@@ -18,13 +19,24 @@ def flat_setup(res=48, L=2.0 * np.pi, amp=0.0):
 
 
 class TestRicciFN:
+    """Ric_f^N = Ric + Hess f - df x df / (N - n) read off the density RHS as -dg / 2."""
+
     def test_constant_density_reduces_to_ricci(self):
-        _, g, f, _ = flat_setup(amp=0.0)
-        assert np.max(np.abs(ricci_fN(g, f, np.inf))) < 1e-12
+        chart = PeriodicChart((2 * np.pi, 2 * np.pi), (16, 16))
+        coords = chart.grid_coords()
+        x, y = coords[..., 0], coords[..., 1]
+        gv = np.zeros(chart.resolution + (2, 2))
+        gv[..., 0, 0] = 1.0 + 0.1 * np.sin(y)
+        gv[..., 1, 1] = 1.0 + 0.1 * np.cos(x)
+        g = MetricField(chart, gv)
+        f = ScalarField(chart, np.full(chart.resolution, 0.7))
+        dg, _ = be_rhs(BEState(g, f, 5))
+        ric, _ = ricci_field_with_defect(g)
+        assert np.max(np.abs(dg + 2.0 * ric)) < 1e-12
 
     def test_flat_infinite_N_is_hessian(self):
         chart, g, f, x = flat_setup(amp=0.3, L=2 * np.pi, res=96)
-        out = ricci_fN(g, f, np.inf)
+        out = -0.5 * be_rhs(BEState(g, f, np.inf))[0]
         # Hess f of 0.3 sin(x): diag(-0.3 sin x, 0)
         assert np.max(np.abs(out[..., 0, 0] + 0.3 * np.sin(x))) < 5e-4
         assert np.max(np.abs(out[..., 1, 1])) < 5e-4
@@ -32,15 +44,13 @@ class TestRicciFN:
     def test_finite_N_subtracts_gradient_square(self):
         chart, g, f, x = flat_setup(amp=0.3, res=96)
         n = 2
-        diff = ricci_fN(g, f, n + 2) - ricci_fN(g, f, np.inf)
+        diff = -0.5 * (be_rhs(BEState(g, f, n + 2))[0] - be_rhs(BEState(g, f, np.inf))[0])
         expected = -0.5 * (0.3 * np.cos(x)) ** 2
         assert np.max(np.abs(diff[..., 0, 0] - expected)) < 5e-4
         assert np.max(np.abs(diff[..., 1, 1])) < 1e-12
 
     def test_N_equal_n_rejected(self):
         _, g, f, _ = flat_setup()
-        with pytest.raises(DomainError):
-            ricci_fN(g, f, 2)
         with pytest.raises(DomainError):
             BEState(g, f, 2)
 

@@ -4,6 +4,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from bundleflow.cli import main
 from bundleflow.traces import read_trace
@@ -77,6 +78,29 @@ class TestConfigValidation:
             "numerics": {"dt_max": 1.0},
         })
         assert main(["flow-ode", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("flow-be", "c_cfl", 0), ("flow-bundle", "c_cfl", 0),
+        ("flow-bundle", "c_cfl", -0.1),
+        ("flow-be", "record_every", 0), ("flow-bundle", "record_every", 0),
+        ("flow-be", "record_every", -1), ("flow-bundle", "record_every", -1),
+        ("flow-be", "record_every", 2.5),
+        ("flow-be", "dt", 0), ("flow-bundle", "dt", 0),
+        ("flow-be", "t_end", 0), ("flow-ode", "t_end", -1),
+    ])
+    def test_bad_step_numerics_exit_2(self, tmp_path, capsys, command, key, value):
+        cfg = {"command": command, "params": {"N": 5},
+               "numerics": {"t_end": 0.01, "resolution": 16, key: value}}
+        if command == "flow-bundle":
+            cfg.update(geometry="heisenberg", params={"n": 1, "c": 1.0})
+        elif command == "flow-ode":
+            cfg.update(geometry="berger", params={"lambda1": 1.0, "lambda2": 2.0})
+        path = write_config(tmp_path, "n.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "config"
+        assert key in err[0]
 
     def test_bad_geometry_parameters_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "m4.json", {
@@ -175,19 +199,6 @@ class TestVerifyAndPlot:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["results"][0]["passed"] is True
-
-    def test_threads_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, "v4.json", {
-            "command": "verify",
-            "checks": ["implicit-constants", "torus-specialization"],
-        })
-        monkeypatch.setenv("BUNDLEFLOW_THREADS", "2")
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "t2")]) == 0
-        monkeypatch.setenv("BUNDLEFLOW_THREADS", "1")
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "t1")]) == 0
-        r1 = json.loads((tmp_path / "t1" / "verify.json").read_text())
-        r2 = json.loads((tmp_path / "t2" / "verify.json").read_text())
-        assert r1 == r2
 
     def test_plot_directory_of_traces(self, tmp_path):
         trace_dir = tmp_path / "traces"
