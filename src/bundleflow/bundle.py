@@ -9,8 +9,11 @@ data gathered in ``PointwiseBundleData``.
 Conventions: [E_i, E_j] = c_ij^k E_k, [V_b, V_c] = -F^k_bc E_k, and the
 fiber metric is right-invariant, so its derivative along the fiber frame is
 E_s Q_jk = c_sjk + c_skj with c_ijk = c_ij^m Q_mk.  Arrays may carry leading
-batch axes (grid nodes, random samples); every contraction is written with
-an explicit einsum against g_inv / Q_inv.
+batch axes (grid nodes, random samples).  The pointwise block evaluators
+write every contraction as an explicit einsum against g_inv / Q_inv; the
+grid flow right-hand side factors the same contractions into pairwise
+matmuls over flattened index pairs, and the tests hold the two against
+each other.
 
 The torus-bundle flow of (g, Q, alpha) on a periodic chart runs on the
 fixed-step RK4 driver of ``integrate`` (step cap, halving and extinction
@@ -27,7 +30,7 @@ import numpy as np
 
 from .diffgeo import base_geometry, hessian_field, spd_inverse
 from .errors import DimensionMismatch, DomainError
-from .grids import (ConnectionField, MetricField, QField, ScalarField,
+from .grids import (ConnectionField, MetricField, QField, ScalarField, deriv,
                     grad, require_same_chart, second_derivs, unchecked)
 from .integrate import fixed_step_integrate, rk4_halving
 
@@ -260,19 +263,28 @@ def curvature_from_connection(alpha: ConnectionField) -> np.ndarray:
 
 def bundle_data_from_fields(g: MetricField, Q: QField,
                             alpha: ConnectionField) -> PointwiseBundleData:
-    """Pointwise data at every grid node by central differencing (torus fibers)."""
+    """Pointwise data at every grid node by central differencing (torus fibers).
+
+    div F^k_c = g^{ln} (d_n F^k_lc - Gamma^t_nl F^k_tc - Gamma^t_nc F^k_lt) is
+    contracted as it is formed, so the covariant derivative of F is never stored.
+    """
     chart = require_same_chart(g, Q, alpha)
     if Q.q != alpha.q:
         raise DimensionMismatch("fiber dimensions of Q and the connection differ")
+    d, q, batch = chart.dims, Q.q, chart.resolution
     geo = base_geometry(g)
     g_inv, gamma = geo.g_inv, geo.gamma
     DQ = grad(Q.values, chart)
-    DDQ = second_derivs(Q.values, chart) - np.einsum("...tbc,...tjk->...bcjk", gamma, DQ)
+    gamma_dq = (np.swapaxes(gamma.reshape(batch + (d, d * d)), -1, -2)
+                @ DQ.reshape(batch + (d, q * q)))           # Gamma^t_bc D_t Q_jk
+    DDQ = second_derivs(Q.values, chart) - gamma_dq.reshape(batch + (d, d, q, q))
     F = curvature_from_connection(alpha)
-    dF = grad(F, chart)                            # (..., n, k, l, c)
-    covF = (dF - np.einsum("...tnl,...ktc->...nklc", gamma, F)
-               - np.einsum("...tnc,...klt->...nklc", gamma, F))
-    divF = np.einsum("...ln,...nklc->...kc", g_inv, covF)
+    # g^{nl} Gamma^t_nl, [t, 1], and g^{ln} Gamma^t_nc, [l, (t, c)]
+    gamma_tr = gamma.reshape(batch + (d, d * d)) @ g_inv.reshape(batch + (d * d, 1))
+    g_gamma = g_inv @ np.swapaxes(gamma, -3, -2).reshape(batch + (d, d * d))
+    divF = (sum(g_inv[..., None, n:n + 1, :] @ deriv(F, chart, n) for n in range(d))[..., 0, :]
+            - (np.swapaxes(F, -1, -2) @ gamma_tr[..., None, :, :])[..., 0]
+            - F.reshape(batch + (q, d * d)) @ g_gamma.reshape(batch + (d * d, d)))
     return PointwiseBundleData(
         g=g.values, g_inv=g_inv, gamma=gamma,
         Q=Q.values, Q_inv=spd_inverse(Q.values),
@@ -315,31 +327,50 @@ def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBund
 # torus-bundle flow
 # ---------------------------------------------------------------------------
 
+def _pair_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = sum over p, r of x[..., i, p, r] y[..., j, p, r], as one matmul."""
+    return (x.reshape(x.shape[:-2] + (-1,))
+            @ np.swapaxes(y.reshape(y.shape[:-2] + (-1,)), -1, -2))
+
+
 def flow_rhs_from_data(d: PointwiseBundleData):
     """Evolution right-hand sides (dg, dQ, dalpha) of the torus-bundle flow.
 
     Coded directly from the evolution equations, independently of the block
     evaluators; equality with (-2 base, -2 fiber, -2 Q^{-1} mixed) is a
-    consequence asserted in the tests, not wired in here.
+    consequence asserted in the tests, not wired in here.  The shared operands
+    Q^{-1} D_b Q, its trace, F g^{-1} and g^{-1} F g^{-1} are formed once, and
+    every term is then a pairwise product over flattened index pairs.
     """
     gi, Qv, Qi = d.g_inv, d.Q, d.Q_inv
     DQ, DDQ, F = d.DQ, d.DDQ, d.F
-    dq_inv = -np.einsum("...um,...sn,...bmn->...bus", Qi, Qi, DQ)
+    n, q = d.dims, d.q
+    batch = gi.shape[:-2]
+    A = Qi[..., None, :, :] @ DQ                            # (Q^-1 D_b Q)^u_k, [b, u, k]
+    trA = np.trace(A, axis1=-2, axis2=-1)                   # tr(Q^-1 D_b Q), [b]
+    w = (gi @ trA[..., None])[..., 0]                       # g^{mn} tr(Q^-1 D_n Q), [m]
+    Fg = F @ gi[..., None, :, :]                            # F^k_bl g^{ln}, [k, b, n]
+    G = gi[..., None, :, :] @ Fg                            # g^{ln} F^k_nx g^{xm}, [k, l, m]
+    QFg = (Qv @ Fg.reshape(batch + (q, n * n))).reshape(F.shape)   # Q_ki Fg[i], [k, b, n]
 
     dg = (-2.0 * d.ric_base
-          + 0.5 * np.einsum("...bks,...cks->...bc", dq_inv, DQ)
-          + np.einsum("...ks,...bcks->...bc", Qi, DDQ)
-          + np.einsum("...ln,...iu,...ubl,...icn->...bc", gi, Qv, F, F))
+          - 0.5 * _pair_dot(A, np.swapaxes(A, -1, -2))
+          + (DDQ.reshape(batch + (n * n, q * q)) @ Qi.reshape(batch + (q * q, 1))
+             ).reshape(gi.shape)
+          + _pair_dot(np.swapaxes(F, -3, -2), np.swapaxes(QFg, -3, -2)))
 
     dalpha = (d.divF
-              + 0.5 * np.einsum("...mn,...imc,...su,...nsu->...ic", gi, F, Qi, DQ)
-              + np.einsum("...mn,...lmc,...is,...nls->...ic", gi, F, Qi, DQ))
+              + 0.5 * (np.swapaxes(F, -1, -2) @ w[..., None, :, None])[..., 0]
+              # F is antisymmetric, so g^{nm} F^l_mc = -Fg[l, c, n]
+              - _pair_dot(np.swapaxes(A, -3, -2), np.moveaxis(Fg, -3, -1)))
 
-    dQ_dot = (np.einsum("...ln,...lnjk->...jk", gi, DDQ)
-              - np.einsum("...su,...mn,...msj,...nuk->...jk", Qi, gi, DQ, DQ)
-              + 0.5 * np.einsum("...su,...mn,...msu,...njk->...jk", Qi, gi, DQ, DQ)
-              - 0.5 * np.einsum("...ln,...mx,...sj,...uk,...slm,...unx->...jk",
-                                gi, gi, Qv, Qv, F, F))
+    A_raised = (gi @ A.reshape(batch + (n, q * q))).reshape(A.shape)   # g^{mn} A_n, [m]
+    dQ_dot = ((gi.reshape(batch + (1, n * n)) @ DDQ.reshape(batch + (n * n, q * q))
+               ).reshape(Qv.shape)
+              - np.swapaxes(DQ, -3, -2).reshape(batch + (q, n * q))
+              @ A_raised.reshape(batch + (n * q, q))
+              + 0.5 * (w[..., None, :] @ DQ.reshape(batch + (n, q * q))).reshape(Qv.shape)
+              - 0.5 * (Qv @ _pair_dot(F, G) @ Qv))
     dg = 0.5 * (dg + np.swapaxes(dg, -1, -2))
     dQ_dot = 0.5 * (dQ_dot + np.swapaxes(dQ_dot, -1, -2))
     return dg, dQ_dot, dalpha

@@ -3,9 +3,12 @@
     bundleflow <command> --config <path> [--out <dir>] [--check <name>]
 
 Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
-configuration is a single JSON document validated strictly (unknown keys are
-rejected, and the step numerics dt, t_end, c_cfl must be finite and positive,
-record_every an integer >= 1) before any work starts.  Exit codes: 0 success,
+configuration is a single JSON document validated strictly before any work
+starts: unknown keys are rejected, every numerics value and geometry
+parameter is type- and range-checked (dt, t_end, c_cfl, tol, h, extent finite
+and positive, record_every an integer >= 1, resolution an integer >= 8),
+'outputs' must map to paths, 'point' must be a list of finite numbers, and
+'checks' must be a list of names.  Exit codes: 0 success,
 2 configuration error, 3 numeric failure, 4 verification failure.
 """
 
@@ -28,7 +31,7 @@ from .catalog import (by_name, heisenberg_bundle_fields, heisenberg_pointwise_da
                       sol3_pointwise_data)
 from .diffgeo import ricci_with_defect
 from .errors import BundleFlowError, ConfigError, EmptyInput
-from .grids import MetricField, PeriodicChart, ScalarField
+from .grids import MIN_RESOLUTION, MetricField, PeriodicChart, ScalarField
 from .svgplot import render_phase_portrait
 from .traces import FlowTrace, atomic_write_text, read_trace, reduced_flow_trace, write_trace
 from .verify import CHECKS, run_check
@@ -48,8 +51,54 @@ _SCHEMA = {
     "plot": {"required": {"command", "inputs"}, "optional": {"style", "outputs"}},
 }
 
-_NUMERIC_KEYS = {"tol", "dt", "t_end", "resolution", "extent", "h", "record_every",
-                 "extinction_ratio", "c_cfl"}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    return _is_number(value) and math.isfinite(value) and value > 0
+
+
+# numerics key -> (accepts the value, what it must be); absent keys take valid defaults
+_NUMERICS = {
+    "dt": (_finite_positive, "a finite number > 0"),
+    "t_end": (_finite_positive, "a finite number > 0"),
+    "c_cfl": (_finite_positive, "a finite number > 0"),
+    "tol": (_finite_positive, "a finite number > 0"),
+    "h": (_finite_positive, "a finite number > 0"),
+    "extent": (_finite_positive, "a finite number > 0"),
+    "extinction_ratio": (lambda v: _is_number(v) and math.isfinite(v) and v >= 0,
+                         "a finite number >= 0"),
+    "record_every": (lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
+    "resolution": (lambda v: _is_integer(v) and v >= MIN_RESOLUTION,
+                   f"an integer >= {MIN_RESOLUTION}"),
+}
+
+
+def _check_params(command: str, params) -> None:
+    """Geometry parameters are finite numbers (heisenberg's n an integer); flow-be
+    takes N (a number other than the base dimension 2, or "inf"), amplitude and
+    a list of integer k values."""
+    if not isinstance(params, dict):
+        raise ConfigError("'params' must be an object")
+    for key, value in params.items():
+        if command == "flow-be" and key == "N":
+            if value in ("inf", "Infinity", None):
+                continue
+            if not _is_number(value) or math.isnan(value) or value == 2:
+                raise ConfigError(f"params.N must be a number other than the base "
+                                  f"dimension 2, or \"inf\"; got {value!r}")
+        elif command == "flow-be" and key == "k":
+            if not isinstance(value, list) or not all(_is_integer(k) for k in value):
+                raise ConfigError(f"params.k must be a list of integers, got {value!r}")
+        elif key == "n" and not (_is_integer(value) and value >= 1):
+            raise ConfigError(f"params.n must be an integer >= 1, got {value!r}")
+        elif not (_is_number(value) and math.isfinite(value)):
+            raise ConfigError(f"params.{key} must be a finite number, got {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -76,17 +125,24 @@ def load_config(path: str) -> dict:
     numerics = cfg.get("numerics", {})
     if not isinstance(numerics, dict):
         raise ConfigError("'numerics' must be an object")
-    bad = set(numerics) - _NUMERIC_KEYS
+    bad = set(numerics) - set(_NUMERICS)
     if bad:
         raise ConfigError(f"unknown numerics keys: {sorted(bad)}")
-    for key in ("dt", "t_end", "c_cfl"):
-        value = numerics.get(key, 1.0)  # an absent key takes its (valid) default
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (math.isfinite(value) and value > 0)):
-            raise ConfigError(f"numerics.{key} must be a finite number > 0, got {value!r}")
-    record_every = numerics.get("record_every", 1)
-    if isinstance(record_every, bool) or not isinstance(record_every, int) or record_every < 1:
-        raise ConfigError(f"numerics.record_every must be an integer >= 1, got {record_every!r}")
+    for key, value in numerics.items():
+        accepts, want = _NUMERICS[key]
+        if not accepts(value):
+            raise ConfigError(f"numerics.{key} must be {want}, got {value!r}")
+    if "params" in cfg:
+        _check_params(command, cfg["params"])
+    outputs = cfg.get("outputs", {})
+    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
+        raise ConfigError(f"'outputs' must be an object of file paths, got {outputs!r}")
+    point = cfg.get("point", [])
+    if not isinstance(point, list) or not all(_is_number(x) and math.isfinite(x) for x in point):
+        raise ConfigError(f"'point' must be a list of finite numbers, got {point!r}")
+    checks = cfg.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError(f"'checks' must be a list of check names, got {checks!r}")
     return cfg
 
 
@@ -98,11 +154,8 @@ def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> str:
 
 
 def _geometry_entry(cfg: dict):
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be an object")
     try:
-        return by_name(cfg["geometry"], params)
+        return by_name(cfg["geometry"], cfg.get("params", {}))
     except BundleFlowError as exc:
         raise ConfigError(str(exc))
 
@@ -135,20 +188,24 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     entry = _geometry_entry(cfg)
     if entry.total_metric is None:
         raise ConfigError(f"geometry '{geometry}' has no total-space metric to check")
-    if geometry == "heisenberg":
-        n = int(params["n"])
-        point = cfg.get("point", [0.3] * n + [-0.2] * n + [0.5])
-        x = np.asarray(point[:n], dtype=float)
-        alpha_at = np.concatenate([np.zeros(n), -x])[None, :]
-        data = heisenberg_pointwise_data(n, float(params["c"]))
-    elif geometry == "sol3":
-        point = cfg.get("point", [1.3, 0.2, 0.1])
-        a = float(params["a"])
-        data = sol3_pointwise_data(a, float(params["c"]), float(point[0]))
-        alpha_at = np.array([[0.0, a / float(point[0])]])
-    else:
+    if geometry not in ("heisenberg", "sol3"):
         raise ConfigError(f"curvature command supports heisenberg and sol3, not '{geometry}'")
-    point = np.asarray(point, dtype=float)
+    n = params.get("n", 1)
+    default = [0.3] * n + [-0.2] * n + [0.5] if geometry == "heisenberg" else [1.3, 0.2, 0.1]
+    point = np.asarray(cfg.get("point", default), dtype=float)
+    if point.shape != (entry.total_metric.dims,):
+        raise ConfigError(f"'point' must have {entry.total_metric.dims} coordinates "
+                          f"for {geometry}, got {point.size}")
+    if geometry == "heisenberg":
+        alpha_at = np.concatenate([np.zeros(n), -point[:n]])[None, :]
+        data = heisenberg_pointwise_data(n, float(params["c"]))
+    else:
+        x = float(point[0])
+        if x <= 0:
+            raise ConfigError(f"sol3 lives on x > 0: 'point' has x = {x:g}")
+        a = float(params["a"])
+        data = sol3_pointwise_data(a, float(params["c"]), x)
+        alpha_at = np.array([[0.0, a / x]])
     blocks = ricci_blocks_torus(data)
     expected = blocks_to_chart(blocks, alpha_at)
     oracle, defect = ricci_with_defect(entry.total_metric, point, step=h)
@@ -215,11 +272,15 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
     if geometry != "heisenberg":
         raise ConfigError("flow-bundle currently drives the flat-base circle-bundle "
                           "configuration; use geometry 'heisenberg'")
-    n = int(params.get("n", 1))
-    if n != 1:
-        raise ConfigError("flow-bundle uses a 2-dimensional base chart (n = 1)")
-    g0, q0, a0 = heisenberg_bundle_fields(n, float(params.get("c", 1.0)),
-                                          resolution=int(num.get("resolution", 16)))
+    n = params.get("n", 1)
+    if n not in (1, 2):
+        raise ConfigError(f"flow-bundle drives heisenberg n = 1 or 2 (a 2- or 4-dimensional "
+                          f"base chart), got n = {n}")
+    c = float(params.get("c", 1.0))
+    if c <= 0:
+        raise ConfigError(f"params.c must be positive, got {c:g}")
+    g0, q0, a0 = heisenberg_bundle_fields(n, c, resolution=int(num.get("resolution", 16)))
+    origin = (0,) * (g0.chart.dims + 2)
     started = time.perf_counter()
     states, stop = bundle_integrate(BundleState(g0, q0, a0, 0.0),
                                     dt=float(num.get("dt", 5e-3)),
@@ -228,8 +289,8 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
                                     c_cfl=float(num.get("c_cfl", 0.2)))
     columns = {
         "t": np.array([s.t for s in states]),
-        "g_xx_origin": np.array([s.g.values[0, 0, 0, 0] for s in states]),
-        "q_origin": np.array([s.Q.values[0, 0, 0, 0] for s in states]),
+        "g_xx_origin": np.array([s.g.values[origin] for s in states]),
+        "q_origin": np.array([s.Q.values[origin] for s in states]),
         "min_eig_g": np.array([float(np.min(np.linalg.eigvalsh(s.g.values))) for s in states]),
         "min_eig_q": np.array([float(np.min(np.linalg.eigvalsh(s.Q.values))) for s in states]),
     }

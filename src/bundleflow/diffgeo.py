@@ -52,25 +52,35 @@ class CoordinateMetric:
 def spd_inverse(g: np.ndarray, cap: float = CONDITION_CAP) -> np.ndarray:
     """Inverse of an SPD matrix (or stack of them) through its Cholesky factor.
 
-    Raises SingularMetric if the factorization fails or the eigenvalue ratio
-    exceeds ``cap``; flows are expected to stop before reaching this state.
+    Raises SingularMetric if the factorization fails or, at any node of the
+    stack, the eigenvalue ratio exceeds ``cap``; the message names the first
+    such node.  Flows are expected to stop before reaching this state.
     """
     try:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("matrix is not positive definite") from exc
-    w = np.linalg.eigvalsh(g)
-    wmin, wmax = np.min(w), np.max(np.abs(w))
-    if not np.isfinite(wmax) or wmin <= 0.0 or wmax / wmin > cap:
-        raise SingularMetric(f"condition number above {cap:g}")
+    w = np.linalg.eigvalsh(g)                  # ascending at every node
+    wmin, wmax = w[..., 0], w[..., -1]
+    ok = (wmin > 0.0) & (wmax <= cap * wmin) & np.isfinite(wmax)
+    if not np.all(ok):
+        node = tuple(int(i) for i in np.argwhere(~ok)[0])
+        where = f" at node {node}" if node else ""
+        raise SingularMetric(f"condition number above {cap:g}{where} "
+                             f"(eigenvalues {wmin[node]:.3e} to {wmax[node]:.3e})")
     low_inv = np.linalg.inv(low)
     return np.swapaxes(low_inv, -1, -2) @ low_inv
 
 
 def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """G^l_{bc} = g^{ln} (d_b g_nc + d_c g_nb - d_n g_bc) / 2, dg[..., b, n, c] = d_b g_nc."""
-    sym = dg + np.einsum("...cnb->...bnc", dg) - np.einsum("...nbc->...bnc", dg)
-    return 0.5 * np.einsum("...ln,...bnc->...lbc", g_inv, sym)
+    """G^l_{bc} = g^{ln} (d_b g_nc + d_c g_nb - d_n g_bc) / 2, dg[..., b, n, c] = d_b g_nc.
+
+    The lowered symbols are laid out [n, (b, c)] so the raise is one matmul.
+    """
+    d = dg.shape[-1]
+    dg_n = np.swapaxes(dg, -3, -2)                          # [n, b, c] = d_b g_nc
+    low = dg_n + np.swapaxes(dg_n, -1, -2) - dg
+    return 0.5 * (g_inv @ low.reshape(dg.shape[:-3] + (d, d * d))).reshape(dg.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +98,19 @@ def _christoffel_point(m: CoordinateMetric, p: np.ndarray, h: float) -> np.ndarr
     return _christoffel_from_dg(g_inv, dg)
 
 
+def _symmetrized_with_defect(ric: np.ndarray):
+    sym = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    defect = np.max(np.abs(ric - np.swapaxes(ric, -1, -2)), axis=(-1, -2))
+    return sym, defect
+
+
 def _ricci_from_gamma(gamma: np.ndarray, dgamma: np.ndarray):
     """Raw Ricci from Gamma and dGamma[..., m, l, b, c] = d_m Gamma^l_{bc}."""
     ric = (np.einsum("...llbc->...bc", dgamma)
            - np.einsum("...bllc->...bc", dgamma)
            + np.einsum("...lln,...nbc->...bc", gamma, gamma)
            - np.einsum("...lbn,...nlc->...bc", gamma, gamma))
-    sym = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    defect = np.max(np.abs(ric - np.swapaxes(ric, -1, -2)), axis=(-1, -2))
-    return sym, defect
+    return _symmetrized_with_defect(ric)
 
 
 def _ricci_point(m: CoordinateMetric, p: np.ndarray, h: float):
@@ -132,18 +146,28 @@ def christoffel_field(m: MetricField, g_inv: np.ndarray | None = None) -> np.nda
 
 
 def ricci_field_with_defect(m: MetricField, gamma: np.ndarray | None = None):
+    """Ricci at every node without stacking dGamma: d_l Gamma^l_bc differences
+    one (d, d) slice per axis, d_b Gamma^l_lc differences the trace vector, and
+    Gamma^l_bn Gamma^n_lc is one matmul over the flattened (l, n) pair."""
     if gamma is None:
         gamma = christoffel_field(m)
-    d = m.chart.dims
-    parts = [deriv(gamma, m.chart, a) for a in range(d)]
-    dgamma = np.stack(parts, axis=d)
-    return _ricci_from_gamma(gamma, dgamma)
+    chart = m.chart
+    d = chart.dims
+    trace = np.trace(gamma, axis1=-3, axis2=-2)             # Gamma^l_lc, [c]
+    gamma_t = np.swapaxes(gamma, -3, -2).copy()             # [b, l, n] = Gamma^l_bn
+    ric = (sum(deriv(gamma[..., a, :, :], chart, a) for a in range(d))
+           - grad(trace, chart)
+           + (trace[..., None, :] @ gamma.reshape(chart.resolution + (d, d * d))
+              ).reshape(gamma.shape[:-1])
+           - gamma_t.reshape(chart.resolution + (d, d * d))
+           @ gamma_t.reshape(chart.resolution + (d * d, d)))
+    return _symmetrized_with_defect(ric)
 
 
 def base_geometry(m: MetricField) -> BaseGeometry:
     """One pass over the metric: a single ``spd_inverse`` (which raises
     SingularMetric for a metric that lost definiteness) and a single
-    Christoffel field.  dGamma stays a temporary of the Ricci computation."""
+    Christoffel field, from which the Ricci tensor is differenced."""
     g_inv = spd_inverse(m.values)
     gamma = christoffel_field(m, g_inv)
     return BaseGeometry(g_inv, gamma, ricci_field_with_defect(m, gamma)[0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleflow.bundle import (BundleState, PointwiseBundleData, StructureConstants,
                                blocks_to_chart, bundle_data_from_fields,
@@ -11,7 +13,7 @@ from bundleflow.bundle import (BundleState, PointwiseBundleData, StructureConsta
                                warped_product_data)
 from bundleflow.catalog import (heisenberg_bundle_fields, heisenberg_pointwise_data,
                                 su2_invariant_metric, su2_sigma)
-from bundleflow.diffgeo import CoordinateMetric, ricci
+from bundleflow.diffgeo import CoordinateMetric, ricci, spd_inverse
 from bundleflow.errors import DomainError
 from bundleflow.grids import ConnectionField, MetricField, PeriodicChart, QField, ScalarField
 
@@ -25,6 +27,29 @@ def zero_data(d=2, q=1, c=None):
         DQ=np.zeros((d, q, q)), DDQ=np.zeros((d, d, q, q)),
         F=np.zeros((q, d, d)), divF=np.zeros((q, d)),
         c=c, ric_base=np.zeros((d, d)), ric_fiber_alg=np.zeros((q, q)))
+
+
+def random_torus_data(rng, batch, d, q):
+    """Random pointwise torus-bundle data with the symmetries of real data:
+    SPD g and Q, F antisymmetric in (b, c), DQ symmetric in (j, k), DDQ
+    symmetric in (b, c) and in (j, k)."""
+    def spd(k):
+        m = rng.normal(size=batch + (k, k))
+        return m @ np.swapaxes(m, -1, -2) + k * np.eye(k)
+
+    def sym(a, i=-1, j=-2):
+        return a + np.swapaxes(a, i, j)
+
+    g, Qv = spd(d), spd(q)
+    F = rng.normal(size=batch + (q, d, d))
+    return PointwiseBundleData(
+        g=g, g_inv=spd_inverse(g), gamma=np.zeros(batch + (d, d, d)),
+        Q=Qv, Q_inv=spd_inverse(Qv),
+        DQ=sym(rng.normal(size=batch + (d, q, q))),
+        DDQ=sym(sym(rng.normal(size=batch + (d, d, q, q))), -3, -4),
+        F=F - np.swapaxes(F, -1, -2), divF=rng.normal(size=batch + (q, d)),
+        c=StructureConstants.abelian(q), ric_base=sym(rng.normal(size=batch + (d, d))),
+        ric_fiber_alg=np.zeros(batch + (q, q)))
 
 
 class TestStructureConstants:
@@ -336,6 +361,20 @@ class TestFlowRhs:
         assert np.max(np.abs(dq + 2.0 * blocks.fiber)) < 1e-12 * scale
         da_blocks = -2.0 * np.einsum("...jk,...jc->...kc", data.Q_inv, blocks.mixed)
         assert np.max(np.abs(da - da_blocks)) < 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), q=st.sampled_from([1, 2, 3]),
+           batch=st.sampled_from([(), (5,), (2, 3)]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_factored_rhs_equals_minus_two_blocks(self, d, q, batch, seed):
+        # the factored right-hand side against the einsum block evaluator
+        data = random_torus_data(np.random.default_rng(seed), batch, d, q)
+        dg, dq, da = flow_rhs_from_data(data)
+        blocks = ricci_blocks_torus(data)
+        da_blocks = -2.0 * np.einsum("...jk,...jc->...kc", data.Q_inv, blocks.mixed)
+        for got, want in ((dg, -2.0 * blocks.base), (dq, -2.0 * blocks.fiber),
+                          (da, da_blocks)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rhs_symmetric_at_every_point(self):
         g, q, a = heisenberg_bundle_fields(1, 0.8)

@@ -102,6 +102,47 @@ class TestConfigValidation:
         assert json.loads(err[0])["error"] == "config"
         assert key in err[0]
 
+    @pytest.mark.parametrize("cfg, named", [
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
+          "numerics": {"tol": "abc"}}, "tol"),
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
+          "numerics": {"tol": 0}}, "tol"),
+        ({"command": "flow-ode", "geometry": "berger",
+          "params": {"lambda1": "x", "lambda2": 2}}, "lambda1"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": "x", "c": 1.0}},
+         "params.n"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": "x"}},
+         "params.c"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"resolution": "x"}}, "resolution"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"resolution": 4}}, "resolution"),
+        ({"command": "flow-be", "params": {"N": 5}, "numerics": {"resolution": 4}},
+         "resolution"),
+        ({"command": "flow-be", "params": {"N": 2}, "numerics": {"t_end": 0.01}}, "params.N"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 3, "c": 1.0}},
+         "n = 3"),
+        ({"command": "verify", "checks": "round-sphere"}, "checks"),
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
+          "outputs": 5}, "outputs"),
+        ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "point": "abc"}, "point"),
+        ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "point": [0.1]}, "point"),
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
+          "point": [0.0, 0.1, 0.2]}, "point"),
+    ], ids=["tol-string", "tol-zero", "lambda1-string", "n-string", "c-string",
+            "resolution-string", "resolution-4-bundle", "resolution-4-be", "N-equals-n",
+            "bundle-n-3", "checks-string", "outputs-number", "point-string", "point-short",
+            "sol3-point-x-0"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, cfg, named):
+        path = write_config(tmp_path, "bad.json", cfg)
+        assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "config"
+        assert named in err[0]
+
     def test_bad_geometry_parameters_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "m4.json", {
             "command": "flow-ode", "geometry": "berger",
@@ -164,6 +205,42 @@ class TestFlowBeAndBundle:
         u_exact = (3 * t_last + 1) ** (1 / 3)
         assert abs(trace["g_xx_origin"][-1] - u_exact) < 1e-6
 
+
+    def test_flow_bundle_heisenberg_n2(self, tmp_path, monkeypatch):
+        # 4-dimensional base chart (8^4): the grid flow stays spatially constant
+        # and follows the reduced closed form to the pde-ode bounds
+        import bundleflow.cli as cli
+        from bundleflow.catalog import heisenberg
+
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(bundle_integrate(*args, **kwargs))
+            return runs[-1]
+
+        bundle_integrate = cli.bundle_integrate
+        monkeypatch.setattr(cli, "bundle_integrate", recording)
+        cfg = write_config(tmp_path, "fb2.json", {
+            "command": "flow-bundle", "geometry": "heisenberg",
+            "params": {"n": 2, "c": 0.9}, "numerics": {"t_end": 0.01},
+            "outputs": {"trace": "bundle2.csv"},
+        })
+        assert main(["flow-bundle", "--config", cfg, "--out", str(tmp_path)]) == 0
+        trace = read_trace(str(tmp_path / "bundle2.csv"))
+        states, stop = runs[0]
+        assert stop == "Horizon" and states[-1].t == pytest.approx(0.01)
+        assert states[0].g.values.shape == (8, 8, 8, 8, 4, 4)
+        entry = heisenberg(2, 0.9)
+        for i, s in enumerate(states):
+            exact = entry.closed_form(s.t)
+            gv, qv = s.g.values, s.Q.values[..., 0, 0]
+            spread = max(float(np.max(gv.max(axis=(0, 1, 2, 3)) - gv.min(axis=(0, 1, 2, 3)))),
+                         float(qv.max() - qv.min()))
+            assert spread <= 1e-12
+            assert np.max(np.abs(gv - exact.u * np.eye(4))) <= 1e-6
+            assert np.max(np.abs(qv - exact.fiber_metric)) <= 1e-6
+            assert trace["g_xx_origin"][i] == gv[0, 0, 0, 0, 0, 0]
+            assert trace["q_origin"][i] == qv[0, 0, 0, 0]
 
 class TestVerifyAndPlot:
     def test_single_check(self, tmp_path, capsys):

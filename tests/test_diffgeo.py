@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bundleflow.diffgeo import (CoordinateMetric, assemble_total_metric, christoffel,
-                                drift_laplacian_field, grad_norm_sq_field,
-                                hessian_field, laplacian_field, ricci, ricci_with_defect,
-                                spd_inverse)
+from bundleflow.diffgeo import (CoordinateMetric, _ricci_from_gamma, assemble_total_metric,
+                                christoffel, christoffel_field, drift_laplacian_field,
+                                grad_norm_sq_field, hessian_field, laplacian_field, ricci,
+                                ricci_field_with_defect, ricci_with_defect, spd_inverse)
 from bundleflow.errors import SingularMetric
 from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart, QField,
-                              ScalarField)
+                              ScalarField, deriv)
 
 FLAT2 = CoordinateMetric(2, lambda p: np.eye(2), name="flat")
 HYPERBOLIC = CoordinateMetric(2, lambda p: np.diag([1.0, 1.0]) / p[1] ** 2, name="half-plane")
@@ -219,3 +221,46 @@ class TestSpdInverse:
     def test_condition_cap(self):
         with pytest.raises(SingularMetric):
             spd_inverse(np.diag([1.0, 1e-13]))
+
+    def test_condition_cap_is_per_node(self):
+        # each node is perfectly conditioned; only the stack spans 13 decades
+        stack = np.stack([np.eye(3) * 1e-7, np.eye(3) * 1e6])
+        inv = spd_inverse(stack)
+        assert np.allclose(inv[0], np.eye(3) * 1e7, rtol=1e-14)
+        assert np.allclose(inv[1], np.eye(3) * 1e-6, rtol=1e-14)
+
+    def test_bad_node_in_good_grid_is_named(self):
+        grid = np.broadcast_to(np.eye(2), (8, 8, 2, 2)).copy()
+        grid[3, 5] = np.diag([1.0, 1e-13])
+        with pytest.raises(SingularMetric, match=r"at node \(3, 5\).*1\.000e-13"):
+            spd_inverse(grid)
+
+
+def random_metric_field(d: int, seed: int) -> MetricField:
+    """Smooth periodic SPD metric on an 8^d chart: identity plus low Fourier modes."""
+    rng = np.random.default_rng(seed)
+    chart = PeriodicChart((2.0 * np.pi,) * d, (8,) * d)
+    x = chart.grid_coords()
+    g = np.broadcast_to(np.eye(d), chart.resolution + (d, d)).copy()
+    for i in range(d):
+        for j in range(i, d):
+            wave = rng.integers(-1, 2, size=d)
+            bump = rng.uniform(0.05, 0.15) * np.sin(x @ wave + rng.uniform(0.0, 2.0 * np.pi))
+            g[..., i, j] += bump
+            if i != j:
+                g[..., j, i] += bump
+    return MetricField(chart, g)
+
+
+class TestStackFreeRicci:
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_stacked_dgamma(self, d, seed):
+        m = random_metric_field(d, seed)
+        gamma = christoffel_field(m)
+        dgamma = np.stack([deriv(gamma, m.chart, a) for a in range(d)], axis=d)
+        ref, ref_defect = _ricci_from_gamma(gamma, dgamma)
+        ric, defect = ricci_field_with_defect(m, gamma)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(ric - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(defect - ref_defect)) <= 1e-13 * scale
