@@ -128,15 +128,12 @@ class BETrace:
         return np.array([s.t for s in self.states])
 
 
-def be_integrate(s0: BEState, dt: float, t_end: float,
-                 scheme: str = "rk4", k_values=DEFAULT_K_VALUES,
+def be_integrate(s0: BEState, dt: float, t_end: float, k_values=DEFAULT_K_VALUES,
                  c_cfl: float = 0.2, record_every: int = 1,
                  extinction_ratio: float = 1e-6) -> BETrace:
     """Integrate the density flow with ``integrate.fixed_step_integrate``,
     recording states and their monitors.  The extinction guard watches the
     smallest eigenvalue of g."""
-    if scheme != "rk4":
-        raise DomainError(f"unknown scheme '{scheme}'")
     records, stop_reason = fixed_step_integrate(
         be_step, s0, lambda s: (s.g.values,), dt, t_end,
         h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every,

@@ -35,19 +35,8 @@ class CatalogEntry:
     invariant_value: Optional[float] = None
     total_metric: Optional[CoordinateMetric] = None
     bundle_fields: Optional[tuple[MetricField, QField, ConnectionField]] = None
-    base_metric: Optional[CoordinateMetric] = None
     closed_form: Optional[Callable[[float], KEState]] = None
     notes: str = ""
-
-    def ricci_operator_eigenvalues(self) -> np.ndarray:
-        """Total-space Ricci operator spectrum at t = 0 predicted by the
-        reduced data: n e^{-2f}/(2u^2) once and lambda/u - e^{-2f}/(2u^2)
-        with multiplicity 2n."""
-        n, lam = self.ke_params.n, self.ke_params.lam
-        u, e = self.ke_state0.u, self.ke_state0.fiber_metric
-        fiber = n * e / (2.0 * u * u)
-        base = lam / u - e / (2.0 * u * u)
-        return np.sort(np.array([fiber] + [base] * (2 * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +122,13 @@ def sl2r(lambda1: float, lambda2: float) -> CatalogEntry:
     params = KEParams(n=1, lam=-4.0)
     state0 = KEState(u=lambda2 ** 2, f=-np.log(lambda1))
     constant = np.sqrt(lambda1 ** 2 + 4.0 * lambda2 ** 2) / (2.0 * lambda1 ** 2 * lambda2)
-
-    def base_display(p):
-        x, y = p
-        return np.array([[1.0 / (4.0 * y ** 3), 0.0], [0.0, 1.0 / y ** 2]])
-
     return CatalogEntry(
         name="sl2r", ke_params=params, ke_state0=state0,
         implicit_constant=float(constant),
         invariant_value=psi_cleared(state0, params),
-        base_metric=CoordinateMetric(2, base_display, name="sl2r-base-display"),
-        notes=("base metric recorded for reference; "
-               "it is Einstein with constant -9/4, not the -4 used by the reduced "
-               "flow, so the curvature oracle is skipped for this entry and the "
-               "reduced flow is validated through its conserved quantity only"))
+        notes=("no total-space metric is recorded, so the curvature oracle is "
+               "skipped for this entry and the reduced flow is validated through "
+               "its conserved quantity only"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@
 
 Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
 configuration is a single JSON document validated strictly before any work
-starts: unknown keys are rejected, every numerics value and geometry
-parameter is type- and range-checked (dt, t_end, c_cfl, tol, h, extent finite
-and positive, record_every an integer >= 1, resolution an integer >= 8),
-'outputs' must map to paths, 'point' must be a list of finite numbers, and
-'checks' must be a list of names.  Exit codes: 0 success,
+starts: unknown keys are rejected (also inside 'numerics', 'params' and
+'style'), every numerics value and geometry parameter is type- and
+range-checked (dt, t_end, c_cfl, tol, h, extent finite and positive,
+record_every an integer >= 1, resolution an integer >= 8), 'geometry' must
+name a catalog entry, 'outputs' must map to paths, 'style' to strings,
+'point' must be a list of finite numbers, and 'checks' must be a list of
+names.  Exit codes: 0 success,
 2 configuration error, 3 numeric failure, 4 verification failure.
 """
 
@@ -27,8 +29,8 @@ from . import __version__
 from . import bakry_emery as be
 from . import kahler_einstein as ke
 from .bundle import BundleState, blocks_to_chart, bundle_integrate, ricci_blocks_torus
-from .catalog import (by_name, heisenberg_bundle_fields, heisenberg_pointwise_data,
-                      sol3_pointwise_data)
+from .catalog import (CONSTRUCTORS, by_name, heisenberg_bundle_fields,
+                      heisenberg_pointwise_data, sol3_pointwise_data)
 from .diffgeo import ricci_with_defect
 from .errors import BundleFlowError, ConfigError, EmptyInput
 from .grids import MIN_RESOLUTION, MetricField, PeriodicChart, ScalarField
@@ -50,6 +52,12 @@ _SCHEMA = {
     "verify": {"required": {"command"}, "optional": {"checks", "outputs"}},
     "plot": {"required": {"command", "inputs"}, "optional": {"style", "outputs"}},
 }
+
+# params keys of the commands that build their own fields; the others take the
+# keys of their geometry's catalog constructor
+_PARAM_KEYS = {"flow-be": ("N", "amplitude", "k"), "flow-bundle": ("n", "c")}
+_STYLE_KEYS = ("title", "x_label", "y_label")
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -79,12 +87,17 @@ _NUMERICS = {
 }
 
 
-def _check_params(command: str, params) -> None:
-    """Geometry parameters are finite numbers (heisenberg's n an integer); flow-be
-    takes N (a number other than the base dimension 2, or "inf"), amplitude and
-    a list of integer k values."""
+def _check_params(command: str, geometry, params) -> None:
+    """Only the command's (flow-be, flow-bundle) or the geometry's keys; geometry
+    parameters are finite numbers (heisenberg's n an integer), flow-be's N is a
+    number other than the base dimension 2 or "inf", and k a list of integers."""
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object")
+    allowed = _PARAM_KEYS.get(command) or CONSTRUCTORS[geometry][1]
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown params keys for {command}: {sorted(unknown)}; "
+                          f"allowed: {list(allowed)}")
     for key, value in params.items():
         if command == "flow-be" and key == "N":
             if value in ("inf", "Infinity", None):
@@ -132,14 +145,21 @@ def load_config(path: str) -> dict:
         accepts, want = _NUMERICS[key]
         if not accepts(value):
             raise ConfigError(f"numerics.{key} must be {want}, got {value!r}")
+    geometry = cfg.get("geometry")
+    if "geometry" in cfg and not (isinstance(geometry, str) and geometry in CONSTRUCTORS):
+        raise ConfigError(f"'geometry' must be one of {sorted(CONSTRUCTORS)}, got {geometry!r}")
     if "params" in cfg:
-        _check_params(command, cfg["params"])
+        _check_params(command, geometry, cfg["params"])
     outputs = cfg.get("outputs", {})
     if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
         raise ConfigError(f"'outputs' must be an object of file paths, got {outputs!r}")
     point = cfg.get("point", [])
     if not isinstance(point, list) or not all(_is_number(x) and math.isfinite(x) for x in point):
         raise ConfigError(f"'point' must be a list of finite numbers, got {point!r}")
+    style = cfg.get("style", {})
+    if not (isinstance(style, dict) and set(style) <= set(_STYLE_KEYS)
+            and all(isinstance(v, str) for v in style.values())):
+        raise ConfigError(f"'style' must map {_STYLE_KEYS} to strings, got {style!r}")
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError(f"'checks' must be a list of check names, got {checks!r}")
@@ -186,8 +206,6 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     num = cfg.get("numerics", {})
     h = float(num.get("h", 1e-3))
     entry = _geometry_entry(cfg)
-    if entry.total_metric is None:
-        raise ConfigError(f"geometry '{geometry}' has no total-space metric to check")
     if geometry not in ("heisenberg", "sol3"):
         raise ConfigError(f"curvature command supports heisenberg and sol3, not '{geometry}'")
     n = params.get("n", 1)
@@ -338,8 +356,8 @@ def cmd_plot(cfg: dict, out_dir: str | None) -> int:
             raise ConfigError(f"'inputs' directory {inputs!r} does not exist")
         paths = sorted(os.path.join(inputs, f) for f in os.listdir(inputs)
                        if f.endswith(".csv"))
-    elif isinstance(inputs, list):
-        paths = [str(p) for p in inputs]
+    elif isinstance(inputs, list) and all(isinstance(p, str) for p in inputs):
+        paths = inputs
     else:
         raise ConfigError("'inputs' must be a directory or a list of trace paths")
     if not paths:

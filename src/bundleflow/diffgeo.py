@@ -2,15 +2,18 @@
 
 Two evaluation paths share the same index algebra:
 
-* ``CoordinateMetric`` — an analytic matrix-valued function of a point.
-  Christoffel symbols use central differences of the metric with a
-  configurable step (default ``DEFAULT_ORACLE_STEP``); the Ricci tensor
-  differences those Christoffel evaluations again.  Second derivatives are
-  therefore nested first differences, never analytic, which keeps this path
-  usable as an independent oracle for the structured curvature formulas.
+* the pointwise API (``christoffel``, ``ricci_with_defect``, ``ricci``) is
+  the curvature oracle and takes only a ``CoordinateMetric``, an analytic
+  matrix-valued function of a point.  Christoffel symbols use central
+  differences of the metric with a configurable step (default
+  ``DEFAULT_ORACLE_STEP``); the Ricci tensor differences those Christoffel
+  evaluations again.  Second derivatives are therefore nested first
+  differences, never analytic, which keeps this path usable as an
+  independent oracle for the structured curvature formulas.
 
 * grid fields — the same operators vectorized over all nodes of a
-  ``PeriodicChart`` with the grid spacing as the step.
+  ``PeriodicChart`` with the grid spacing as the step (``base_geometry``
+  and the ``*_field`` functions).
 
 Index conventions: ``christoffel`` returns ``G[l, b, c] = Gamma^l_{bc}``
 (upper index first), ``ricci`` returns the symmetrized ``Ric_{bc}`` built
@@ -21,13 +24,12 @@ from ``d_l Gamma^l_{bc} - d_b Gamma^l_{lc} + Gamma^l_{ln} Gamma^n_{bc}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMetric
-from .grids import (ConnectionField, MetricField, PeriodicInterpolator, QField,
-                    ScalarField, deriv, grad, require_same_chart, second_derivs)
+from .grids import MetricField, ScalarField, deriv, grad, require_same_chart, second_derivs
 
 DEFAULT_ORACLE_STEP = 1e-3
 CONDITION_CAP = 1e12
@@ -84,10 +86,13 @@ def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# analytic-metric path (nested finite differences around a point)
+# pointwise oracle (nested finite differences around a point)
 # ---------------------------------------------------------------------------
 
-def _christoffel_point(m: CoordinateMetric, p: np.ndarray, h: float) -> np.ndarray:
+def christoffel(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
+    """Christoffel symbols at a coordinate point."""
+    h = step or DEFAULT_ORACLE_STEP
+    p = np.asarray(p, dtype=float)
     d = m.dims
     g_inv = spd_inverse(m(p))
     dg = np.zeros((d, d, d))
@@ -113,15 +118,23 @@ def _ricci_from_gamma(gamma: np.ndarray, dgamma: np.ndarray):
     return _symmetrized_with_defect(ric)
 
 
-def _ricci_point(m: CoordinateMetric, p: np.ndarray, h: float):
+def ricci_with_defect(m: CoordinateMetric, p, step: float | None = None):
+    """Symmetrized Ricci tensor at a coordinate point and the
+    pre-symmetrization asymmetry diagnostic."""
+    h = step or DEFAULT_ORACLE_STEP
+    p = np.asarray(p, dtype=float)
     d = m.dims
-    gamma = _christoffel_point(m, p, h)
+    gamma = christoffel(m, p, h)
     dgamma = np.zeros((d, d, d, d))
     for a in range(d):
         e = np.zeros(d)
         e[a] = h
-        dgamma[a] = (_christoffel_point(m, p + e, h) - _christoffel_point(m, p - e, h)) / (2.0 * h)
+        dgamma[a] = (christoffel(m, p + e, h) - christoffel(m, p - e, h)) / (2.0 * h)
     return _ricci_from_gamma(gamma, dgamma)
+
+
+def ricci(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
+    return ricci_with_defect(m, p, step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,33 +187,6 @@ def base_geometry(m: MetricField) -> BaseGeometry:
 
 
 # ---------------------------------------------------------------------------
-# dispatching pointwise API
-# ---------------------------------------------------------------------------
-
-MetricLike = Union[MetricField, CoordinateMetric]
-
-
-def christoffel(m: MetricLike, p, step: float | None = None) -> np.ndarray:
-    """Christoffel symbols at a point (coordinate point, or grid index for fields)."""
-    if isinstance(m, CoordinateMetric):
-        return _christoffel_point(m, np.asarray(p, dtype=float), step or DEFAULT_ORACLE_STEP)
-    return christoffel_field(m)[tuple(int(i) for i in np.atleast_1d(p))]
-
-
-def ricci_with_defect(m: MetricLike, p, step: float | None = None):
-    """Symmetrized Ricci tensor and the pre-symmetrization asymmetry diagnostic."""
-    if isinstance(m, CoordinateMetric):
-        return _ricci_point(m, np.asarray(p, dtype=float), step or DEFAULT_ORACLE_STEP)
-    sym, defect = ricci_field_with_defect(m)
-    idx = tuple(int(i) for i in np.atleast_1d(p))
-    return sym[idx], defect[idx]
-
-
-def ricci(m: MetricLike, p, step: float | None = None) -> np.ndarray:
-    return ricci_with_defect(m, p, step)[0]
-
-
-# ---------------------------------------------------------------------------
 # scalar calculus on grid fields
 # ---------------------------------------------------------------------------
 
@@ -233,40 +219,3 @@ def drift_laplacian_field(f: ScalarField, u: ScalarField, m: MetricField) -> np.
     df = grad(f.values, f.chart)
     du = grad(u.values, u.chart)
     return laplacian_field(u, m) - np.einsum("...bc,...b,...c->...", g_inv, df, du)
-
-
-# ---------------------------------------------------------------------------
-# total-space metric assembly (torus structure group)
-# ---------------------------------------------------------------------------
-
-def assemble_total_metric(g: MetricField, Q: QField, alpha: ConnectionField) -> CoordinateMetric:
-    """Coordinate metric of the bundle total space on (base coords, fiber coords).
-
-    Blocks at a point x: top-left  g_{bb'} + Q_{kl} a^k_b a^l_{b'},
-    off-diagonal  Q_{kl} a^l_b,  fiber  Q_{jk}.  Base fields enter through
-    periodic cubic interpolation so the result is twice differentiable and
-    usable by the finite-difference curvature oracle; fiber coordinates are
-    ignored by every block (torus invariance).
-    """
-    chart = require_same_chart(g, Q, alpha)
-    if Q.q != alpha.q:
-        raise DimensionMismatch(f"fiber dimensions differ: Q has {Q.q}, connection has {alpha.q}")
-    d, q = chart.dims, Q.q
-    interp_g = PeriodicInterpolator(chart, g.values)
-    interp_q = PeriodicInterpolator(chart, Q.values)
-    interp_a = PeriodicInterpolator(chart, alpha.values)
-
-    def evaluate(p: np.ndarray) -> np.ndarray:
-        x = p[:d]
-        gv = interp_g(x)
-        qv = interp_q(x)
-        av = interp_a(x) + alpha.coefficients_at(x)
-        out = np.zeros((d + q, d + q))
-        qa = np.einsum("kl,lb->kb", qv, av)
-        out[:d, :d] = gv + np.einsum("kb,kc->bc", av, qa)
-        out[:d, d:] = qa.T
-        out[d:, :d] = qa
-        out[d:, d:] = qv
-        return out
-
-    return CoordinateMetric(d + q, evaluate, name="assembled-total-space")

@@ -3,9 +3,7 @@
 All grid data lives on a rectangular chart with periodic wrap-around in
 every axis.  Arrays store the grid axes first and tensor component axes
 last, so einsum expressions can use an ellipsis for the grid part.
-Derivatives are plain second-order central differences; interpolation is
-a periodic cubic B-spline whose coefficients are solved per axis with an
-FFT (the interpolation system is circulant).
+Derivatives are plain second-order central differences.
 """
 
 from __future__ import annotations
@@ -199,12 +197,6 @@ class ConnectionField:
             return np.zeros((self.q, d, d))
         return np.einsum("kcb->kbc", self.linear) - self.linear
 
-    def coefficients_at(self, x: np.ndarray) -> np.ndarray:
-        """Linear-part coefficients at coordinate point x (periodic part excluded)."""
-        if self.linear is None:
-            return np.zeros((self.q, self.chart.dims))
-        return np.einsum("kbn,n->kb", self.linear, np.asarray(x, dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # periodic finite differences (grid axes lead, component axes trail)
@@ -247,68 +239,3 @@ def second_derivs(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
             out[idx_grid + (b, a)] = mixed
     return out
 
-
-# ---------------------------------------------------------------------------
-# periodic cubic B-spline interpolation
-# ---------------------------------------------------------------------------
-
-class PeriodicInterpolator:
-    """Tensor-product periodic cubic B-spline interpolant of grid data.
-
-    Coefficients solve the nodal interpolation system exactly (the per-axis
-    system is circulant with symbol (4 + 2 cos)/6, solved by FFT), so the
-    interpolant reproduces the data at the nodes and is C^2 in between.
-    """
-
-    def __init__(self, chart: PeriodicChart, values: np.ndarray):
-        self.chart = chart
-        d = chart.dims
-        if values.shape[:d] != chart.resolution:
-            raise DimensionMismatch("values do not match the chart resolution")
-        coeff = np.array(values, dtype=float)
-        for axis in range(d):
-            n = chart.resolution[axis]
-            k = np.arange(n)
-            symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * k / n)) / 6.0
-            shape = [1] * coeff.ndim
-            shape[axis] = n
-            coeff = np.fft.ifft(np.fft.fft(coeff, axis=axis) / symbol.reshape(shape),
-                                axis=axis).real
-        self.coeff = coeff
-        self.tail = values.shape[d:]
-
-    @staticmethod
-    def _weights(t: np.ndarray) -> list[np.ndarray]:
-        t2 = t * t
-        t3 = t2 * t
-        return [
-            (1.0 - 3.0 * t + 3.0 * t2 - t3) / 6.0,
-            (4.0 - 6.0 * t2 + 3.0 * t3) / 6.0,
-            (1.0 + 3.0 * t + 3.0 * t2 - 3.0 * t3) / 6.0,
-            t3 / 6.0,
-        ]
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.chart.dims
-        if pts.shape[-1] != d:
-            raise DimensionMismatch(f"points must have {d} coordinates")
-        base, weights = [], []
-        for axis in range(d):
-            n = self.chart.resolution[axis]
-            h = self.chart.spacing[axis]
-            y = (pts[:, axis] - self.chart.origin[axis]) / h
-            i0 = np.floor(y).astype(int)
-            weights.append(self._weights(y - i0))
-            base.append(i0)
-        out = np.zeros((pts.shape[0],) + self.tail)
-        for offsets in np.ndindex(*(4,) * d):
-            w = np.ones(pts.shape[0])
-            idx = []
-            for axis, off in enumerate(offsets):
-                n = self.chart.resolution[axis]
-                w = w * weights[axis][off]
-                idx.append(np.mod(base[axis] + off - 1, n))
-            gathered = self.coeff[tuple(idx)]
-            out += w.reshape((-1,) + (1,) * len(self.tail)) * gathered
-        return out if np.asarray(points).ndim > 1 else out[0]

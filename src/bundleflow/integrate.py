@@ -42,6 +42,7 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 
 MIN_STEP = 1e-14
+MAX_STEPS = 2_000_000
 
 
 def rk4_step(f: Callable, t: float, y: tuple, dt: float) -> tuple:
@@ -126,16 +127,15 @@ def adaptive_rk(f: Callable[[float, np.ndarray], np.ndarray],
                 t0: float, y0: Sequence[float], t_end: float,
                 rtol: float = 1e-9, atol: float = 1e-12,
                 stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None,
-                t_eval: Optional[Sequence[float]] = None,
-                dt0: Optional[float] = None,
-                max_steps: int = 2_000_000) -> OdeResult:
+                t_eval: Optional[Sequence[float]] = None) -> OdeResult:
     """Integrate y' = f(t, y) from t0 to t_end, recording every accepted step.
 
     stop(t, y) may return a reason string to end the run after an accepted
     step.  When ``t_eval`` is given, steps are shortened so those times are
     hit exactly (entries must be increasing and inside (t0, t_end]).  The
     right-hand side may return non-finite values for out-of-domain trial
-    states; such trials are rejected and retried with a smaller step.
+    states; such trials are rejected and retried with a smaller step.  The
+    run stops with "MaxSteps" after ``MAX_STEPS`` accepted steps.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -149,7 +149,7 @@ def adaptive_rk(f: Callable[[float, np.ndarray], np.ndarray],
     while next_eval < len(eval_times) and eval_times[next_eval] <= t0 + MIN_STEP:
         next_eval += 1
 
-    dt = dt0 if dt0 is not None else min(1e-4, (t_end - t0) * 1e-3)
+    dt = min(1e-4, (t_end - t0) * 1e-3)
     err_prev = 1.0
     n_steps = n_rejected = 0
     k_first = f(t, y)
@@ -197,7 +197,7 @@ def adaptive_rk(f: Callable[[float, np.ndarray], np.ndarray],
                 if reason:
                     stop_reason = reason
                     break
-            if n_steps >= max_steps:
+            if n_steps >= MAX_STEPS:
                 stop_reason = "MaxSteps"
                 break
             fac = 0.9 * (err + 1e-300) ** (-0.7 / 5.0) * (err_prev + 1e-300) ** (0.4 / 5.0)

@@ -74,12 +74,10 @@ class LauretState:
             raise DomainError(f"a must be >= 0, got {self.a}")
 
 
-def ke_rhs(s: KEState, p: KEParams) -> tuple[float, float]:
-    """(du/dt, df/dt) of the reduced flow."""
-    if s.u <= 0:
-        raise DomainError("u must be positive")
-    e = np.exp(-2.0 * s.f)
-    return (-2.0 * p.lam + e / s.u, p.n * e / (2.0 * s.u * s.u))
+def ke_rhs(u, f, p: KEParams) -> tuple[float, float]:
+    """(du/dt, df/dt) of the reduced flow at u > 0 (not checked here)."""
+    e = np.exp(-2.0 * f)
+    return (-2.0 * p.lam + e / u, p.n * e / (2.0 * u * u))
 
 
 def closed_form_flat(t, p: KEParams, u0: float, C: float) -> KEState:
@@ -99,6 +97,24 @@ def flat_connection_flow(t, u0: float, lam: float) -> float:
     return u0 - 2.0 * lam * t
 
 
+def _psi(u, f, p: KEParams):
+    """Psi and its parenthesis 1 - (n + 1) / (2 lambda u exp(2 f)); Psi is NaN
+    where the parenthesis is negative."""
+    base = 1.0 - (p.n + 1.0) / (2.0 * p.lam * u * np.exp(2.0 * f))
+    with np.errstate(invalid="ignore"):
+        return np.exp(2.0 * f) * base ** (p.n / (p.n + 1.0)), base
+
+
+def _psi_cleared(u, f, p: KEParams):
+    n = p.n
+    return (np.exp(2.0 * f * (n + 1.0) / n)
+            - (n + 1.0) * np.exp(2.0 * f / n) / (2.0 * p.lam * u))
+
+
+def _lauret_ab(u, f, p: KEParams):
+    return np.exp(-f) / u, p.lam / u
+
+
 def psi(s: KEState, p: KEParams) -> float:
     """Conserved quantity of the lambda != 0 flow.
 
@@ -108,11 +124,11 @@ def psi(s: KEState, p: KEParams) -> float:
     """
     if p.lam == 0:
         raise LambdaZero("Psi is undefined for lambda = 0")
-    base = 1.0 - (p.n + 1.0) / (2.0 * p.lam * s.u * np.exp(2.0 * s.f))
+    value, base = _psi(s.u, s.f, p)
     if base < 0:
         raise NegativeBase(
             f"fractional power base is negative ({base:.6g}); monitor the cleared form")
-    return float(np.exp(2.0 * s.f) * base ** (p.n / (p.n + 1.0)))
+    return float(value)
 
 
 def psi_cleared(s: KEState, p: KEParams) -> float:
@@ -125,27 +141,25 @@ def psi_cleared(s: KEState, p: KEParams) -> float:
     """
     if p.lam == 0:
         raise LambdaZero("the cleared form is undefined for lambda = 0")
-    n = p.n
-    return float(np.exp(2.0 * s.f * (n + 1.0) / n)
-                 - (n + 1.0) * np.exp(2.0 * s.f / n) / (2.0 * p.lam * s.u))
+    return float(_psi_cleared(s.u, s.f, p))
 
 
 def to_lauret(s: KEState, p: KEParams) -> LauretState:
-    return LauretState(float(np.exp(-s.f) / s.u), float(p.lam / s.u), s.t)
+    a, b = _lauret_ab(s.u, s.f, p)
+    return LauretState(float(a), float(b), s.t)
 
 
-def lauret_rhs(l: LauretState) -> tuple[float, float]:
+def lauret_rhs(a, b) -> tuple[float, float]:
     """a' = (2b - 3a^2/2) a,  b' = (2b - a^2) b."""
-    return ((2.0 * l.b - 1.5 * l.a * l.a) * l.a,
-            (2.0 * l.b - l.a * l.a) * l.b)
+    return (2.0 * b - 1.5 * a * a) * a, (2.0 * b - a * a) * b
 
 
-def lambda_invariant(l: LauretState) -> float:
-    """Conserved combination b^4/a^4 - b^3/a^2 of the n = 1 system."""
-    if l.a == 0:
+def lambda_invariant(a, b):
+    """Conserved combination b^4/a^4 - b^3/a^2 of the n = 1 system, at a point
+    or along arrays of (a, b)."""
+    if np.any(np.equal(a, 0)):
         raise DomainError("the invariant requires a > 0")
-    r = l.b / l.a
-    return float(r ** 4 - l.b * r * r)
+    return b ** 4 / a ** 4 - b ** 3 / a ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -166,34 +180,22 @@ class ReducedTrace:
     def fiber_metric(self) -> np.ndarray:
         return np.exp(-2.0 * self.f)
 
-    def states(self) -> list[KEState]:
-        return [KEState(float(u), float(f), float(t))
-                for t, u, f in zip(self.t, self.u, self.f)]
-
     def psi_series(self) -> np.ndarray:
         """Psi along the trace; NaN where the fractional power base is negative."""
         if self.params.lam == 0:
             return np.full_like(self.t, np.nan)
-        n = self.params.n
-        base = 1.0 - (n + 1.0) / (2.0 * self.params.lam * self.u * np.exp(2.0 * self.f))
-        with np.errstate(invalid="ignore"):
-            out = np.exp(2.0 * self.f) * np.where(base >= 0, base, np.nan) ** (n / (n + 1.0))
-        return out
+        return _psi(self.u, self.f, self.params)[0]
 
     def psi_cleared_series(self) -> np.ndarray:
         if self.params.lam == 0:
             return np.full_like(self.t, np.nan)
-        n = self.params.n
-        return (np.exp(2.0 * self.f * (n + 1.0) / n)
-                - (n + 1.0) * np.exp(2.0 * self.f / n) / (2.0 * self.params.lam * self.u))
+        return _psi_cleared(self.u, self.f, self.params)
 
     def lauret_series(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.exp(-self.f) / self.u, self.params.lam / self.u
+        return _lauret_ab(self.u, self.f, self.params)
 
     def lambda_invariant_series(self) -> np.ndarray:
-        a, b = self.lauret_series()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return b ** 4 / a ** 4 - b ** 3 / a ** 2
+        return lambda_invariant(*self.lauret_series())
 
 
 def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
@@ -211,8 +213,7 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
         u, f = y
         if u <= 0:
             return np.array([np.nan, np.nan])
-        e = np.exp(-2.0 * f)
-        return np.array([-2.0 * p.lam + e / u, p.n * e / (2.0 * u * u)])
+        return np.array(ke_rhs(u, f, p))
 
     def stop(t, y):
         return "Extinct" if y[0] <= guard else None
@@ -232,8 +233,7 @@ def lauret_integrate(l0: LauretState, t_end: float, tol: float = 1e-9,
     """
 
     def rhs(t, y):
-        a, b = y
-        return np.array([(2.0 * b - 1.5 * a * a) * a, (2.0 * b - a * a) * b])
+        return np.array(lauret_rhs(*y))
 
     def stop(t, y):
         if stop_b_above is not None and abs(y[1]) >= stop_b_above:

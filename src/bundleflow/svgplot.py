@@ -4,7 +4,8 @@ One polyline per trace in the collapse-plane coordinates
 x = exp(-2 f), y = u, with axes, tick labels and a legend built from trace
 metadata.  No plotting library: output is a deterministic function of the
 inputs (fixed palette, fixed float formatting), so identical traces yield
-byte-identical documents.
+byte-identical documents.  Style strings and legend labels are
+XML-escaped.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def _fmt(v: float) -> str:
     return format(float(v), ".6g")
+
+
+def _escape(text: str) -> str:
+    """XML text-node escaping (``xml.sax.saxutils.escape`` pulls in urllib and ssl)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -68,9 +74,9 @@ def render_phase_portrait(traces: list[FlowTrace], style: dict | None = None) ->
     if not traces:
         raise EmptyInput("no traces to plot")
     style = dict(style or {})
-    title = style.get("title", "Collapse-plane flow portrait")
-    x_label = style.get("x_label", "exp(-2f)")
-    y_label = style.get("y_label", "u")
+    title = _escape(style.get("title", "Collapse-plane flow portrait"))
+    x_label = _escape(style.get("x_label", "exp(-2f)"))
+    y_label = _escape(style.get("y_label", "u"))
 
     curves = [phase_points(t) for t in traces]
     if all(c.shape[0] == 0 for c in curves):
@@ -148,7 +154,8 @@ def render_phase_portrait(traces: list[FlowTrace], style: dict | None = None) ->
                    f'x2="{_fmt(legend_x + 24)}" y2="{_fmt(y - 4)}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{_fmt(legend_x + 30)}" y="{_fmt(y)}" '
-                   f'font-family="sans-serif" font-size="12">{_legend_label(trace, i)}</text>')
+                   f'font-family="sans-serif" font-size="12">'
+                   f'{_escape(_legend_label(trace, i))}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -61,7 +61,7 @@ def atomic_write_text(path: str, text: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:       # ValueError: a NUL byte in the path
         raise TraceIoError(f"cannot write {path}: {exc}") from exc
 
 
@@ -85,7 +85,7 @@ def read_trace(path: str) -> FlowTrace:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:       # ValueError: NUL in the path, or not UTF-8
         raise TraceIoError(f"cannot read {path}: {exc}") from exc
     meta: dict[str, str] = {}
     header: list[str] | None = None

@@ -179,8 +179,7 @@ def check_lauret() -> CheckResult:
         worst_traj = max(worst_traj, float(np.max(err_a[matched])),
                          float(np.max(err_b[matched])))
         worst_inv = max(worst_inv, _rel_drift(trace.lambda_invariant_series()))
-        lam_direct = b_l ** 4 / a_l ** 4 - b_l ** 3 / a_l ** 2
-        worst_inv = max(worst_inv, _rel_drift(lam_direct))
+        worst_inv = max(worst_inv, _rel_drift(ke.lambda_invariant(a_l, b_l)))
     ok = worst_traj <= 1e-6 and worst_inv <= 1e-6
     return CheckResult("lauret", ok,
                        f"trajectory mismatch {worst_traj:.2e}, invariant drift "

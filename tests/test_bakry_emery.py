@@ -120,11 +120,6 @@ class TestBeIntegrate:
                              extinction_ratio=0.999999)
         assert trace.stop_reason == "ExtinctionGuard"
 
-    def test_unknown_scheme_rejected(self):
-        _, g, f, _ = flat_setup(res=16)
-        with pytest.raises(DomainError):
-            be_integrate(BEState(g, f, 5), dt=0.01, t_end=0.1, scheme="euler")
-
     def test_monotone_min_scalar_short(self):
         _, g, f, _ = flat_setup(res=24, amp=0.1)
         trace = be_integrate(BEState(g, f, np.inf), dt=1.0, t_end=0.3)

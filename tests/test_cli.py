@@ -1,13 +1,20 @@
 """End-to-end command-line runs."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import traceback
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bundleflow.cli import main
-from bundleflow.traces import read_trace
+from bundleflow.traces import FlowTrace, read_trace, write_trace
 
 
 def write_config(tmp_path, name, cfg):
@@ -131,10 +138,25 @@ class TestConfigValidation:
           "point": [0.1]}, "point"),
         ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
           "point": [0.0, 0.1, 0.2]}, "point"),
+        ({"command": "flow-be", "params": {"N": 5, "amplitdue": 0.5},
+          "numerics": {"t_end": 0.01, "resolution": 8}}, "['amplitdue']"),
+        ({"command": "flow-ode", "geometry": "berger",
+          "params": {"lambda1": 1, "lambda2": 2, "lamda2": 3}}, "['lamda2']"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "C": 2.0},
+          "numerics": {"t_end": 0.01}}, "['C']"),
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0, "n": 1}},
+         "['n']"),
+        ({"command": "flow-ode", "geometry": ["berger"], "params": {"lambda1": 1}}, "geometry"),
+        ({"command": "plot", "inputs": [], "style": "abc"}, "style"),
+        ({"command": "plot", "inputs": [], "style": {"title": 5}}, "style"),
+        ({"command": "plot", "inputs": [], "style": {"colour": "red"}}, "style"),
+        ({"command": "plot", "inputs": [3]}, "inputs"),
     ], ids=["tol-string", "tol-zero", "lambda1-string", "n-string", "c-string",
             "resolution-string", "resolution-4-bundle", "resolution-4-be", "N-equals-n",
             "bundle-n-3", "checks-string", "outputs-number", "point-string", "point-short",
-            "sol3-point-x-0"])
+            "sol3-point-x-0", "be-params-typo", "ode-params-typo", "bundle-params-case",
+            "curvature-params-extra", "geometry-list", "style-string", "style-number",
+            "style-unknown-key", "inputs-number"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, cfg, named):
         path = write_config(tmp_path, "bad.json", cfg)
         assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2
@@ -319,8 +341,108 @@ class TestVerifyAndPlot:
         assert ((tmp_path / "p1" / "fig.svg").read_bytes()
                 == (tmp_path / "p2" / "fig.svg").read_bytes())
 
+    def test_plot_style_is_escaped(self, tmp_path):
+        trace_dir = tmp_path / "traces"
+        ode = write_config(tmp_path, "o.json", {
+            "command": "flow-ode", "geometry": "berger",
+            "params": {"lambda1": 1.0, "lambda2": 2.0},
+            "numerics": {"t_end": 0.1}, "outputs": {"trace": "b.csv"},
+        })
+        assert main(["flow-ode", "--config", ode, "--out", str(trace_dir)]) == 0
+        plot_cfg = write_config(tmp_path, "p4.json", {
+            "command": "plot", "inputs": str(trace_dir),
+            "style": {"title": "R & D <1>", "x_label": "a<b", "y_label": "\"u\" & 'v'"},
+            "outputs": {"plot": "fig.svg"},
+        })
+        assert main(["plot", "--config", plot_cfg, "--out", str(tmp_path)]) == 0
+        root = ET.fromstring((tmp_path / "fig.svg").read_text())
+        texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+        assert {"R & D <1>", "a<b", "\"u\" & 'v'"} <= set(texts)
+
     def test_plot_empty_directory_exit_3(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
         cfg = write_config(tmp_path, "p2.json", {"command": "plot", "inputs": str(empty)})
         assert main(["plot", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+# --- whole-config fuzzing against the exit-code contract ---------------------
+
+def _minimal_configs(trace):
+    """One small valid config per command (t_end <= 0.01, resolution 8)."""
+    return {
+        "curvature": {"command": "curvature", "geometry": "heisenberg",
+                      "params": {"n": 1, "c": 1.0}, "numerics": {"h": 1e-3},
+                      "outputs": {"report": "curv.json"}},
+        "flow-ode": {"command": "flow-ode", "geometry": "berger",
+                     "params": {"lambda1": 1.0, "lambda2": 2.0},
+                     "numerics": {"t_end": 0.01, "tol": 1e-9, "extinction_ratio": 1e-6},
+                     "outputs": {"trace": "ode.csv"}},
+        "flow-be": {"command": "flow-be", "params": {"N": 5, "amplitude": 0.1, "k": [0, 1]},
+                    "numerics": {"t_end": 0.01, "resolution": 8, "dt": 0.005, "c_cfl": 0.2,
+                                 "record_every": 1, "extent": 6.0}},
+        "flow-bundle": {"command": "flow-bundle", "geometry": "heisenberg",
+                        "params": {"n": 1, "c": 1.0},
+                        "numerics": {"t_end": 0.01, "resolution": 8, "dt": 0.005}},
+        "verify": {"command": "verify", "checks": ["implicit-constants"]},
+        "plot": {"command": "plot", "inputs": [trace], "style": {"title": "t"},
+                 "outputs": {"plot": "p.svg"}},
+    }
+
+
+def _key_paths(cfg):
+    """Every key of the config and of its nested objects, plus an unknown key at each level."""
+    paths = [("bogus",)]
+    for key, value in cfg.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths += [(key, sub) for sub in value] + [(key, "bogus")]
+    return paths
+
+
+_CASES = [(command, path) for command, cfg in _minimal_configs("trace.csv").items()
+          for path in _key_paths(cfg)]
+_TEXT = st.text(alphabet="ab \x00", max_size=4)
+_HOSTILE = st.one_of(
+    _TEXT,
+    st.just(float("nan")),
+    st.booleans(),
+    st.integers(-10, -1),
+    st.floats(-10.0, -1e-3),
+    st.lists(st.one_of(st.integers(-3, 3), _TEXT), max_size=3),
+    st.dictionaries(st.text(alphabet="ab", min_size=1, max_size=2),
+                    st.one_of(st.integers(-3, 3), st.just({"x": 1})), min_size=1, max_size=2),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(_CASES), value=_HOSTILE)
+    @example(case=("plot", ("style",)), value="abc")
+    @example(case=("flow-ode", ("outputs", "trace")), value="a\x00")
+    def test_exit_code_contract(self, case, value):
+        command, path = case
+        tb = ""
+        with tempfile.TemporaryDirectory() as workdir:
+            trace = os.path.join(workdir, "trace.csv")
+            write_trace(FlowTrace({"t": [0.0, 1.0], "u": [1.0, 0.5], "f": [0.0, 0.1]}), trace)
+            cfg = _minimal_configs(trace)[command]
+            target = cfg
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            cfg_path = os.path.join(workdir, "cfg.json")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                json.dump(cfg, handle)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, "--config", cfg_path,
+                                 "--out", os.path.join(workdir, "out")])
+                except Exception:
+                    code, tb = 1, traceback.format_exc()
+        assert code in (0, 2, 3, 4), tb
+        if code != 0:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1, err.getvalue()
+            assert "error" in json.loads(lines[0])

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow.diffgeo import (CoordinateMetric, _ricci_from_gamma, assemble_total_metric,
-                                christoffel, christoffel_field, drift_laplacian_field,
-                                grad_norm_sq_field, hessian_field, laplacian_field, ricci,
-                                ricci_field_with_defect, ricci_with_defect, spd_inverse)
+from bundleflow.diffgeo import (CoordinateMetric, _ricci_from_gamma, christoffel,
+                                christoffel_field, drift_laplacian_field, grad_norm_sq_field,
+                                hessian_field, laplacian_field, ricci, ricci_field_with_defect,
+                                ricci_with_defect, spd_inverse)
 from bundleflow.errors import SingularMetric
-from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart, QField,
-                              ScalarField, deriv)
+from bundleflow.grids import MetricField, PeriodicChart, ScalarField, deriv
 
 FLAT2 = CoordinateMetric(2, lambda p: np.eye(2), name="flat")
 HYPERBOLIC = CoordinateMetric(2, lambda p: np.diag([1.0, 1.0]) / p[1] ** 2, name="half-plane")
@@ -174,34 +173,36 @@ class TestScalarCalculus:
         assert drift_laplacian_field(u, f0, self.g)[3, 4] == 0.0
 
 
-class TestAssembleTotalMetric:
-    def test_flat_product_is_flat(self):
-        chart = PeriodicChart((2.0, 2.0), (16, 16))
-        g = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
-        q = QField(chart, 1, np.ones(chart.resolution + (1, 1)))
-        a = ConnectionField(chart, 1, np.zeros(chart.resolution + (1, 2)))
-        total = assemble_total_metric(g, q, a)
-        assert np.max(np.abs(total([0.5, 0.3, 0.9]) - np.eye(3))) < 1e-14
-        assert np.max(np.abs(ricci(total, [0.5, 0.3, 0.9], step=1e-3))) < 1e-8
+def total_metric_at_node(g, q, alpha, idx):
+    """Bundle total-space metric assembled from the grid blocks at node ``idx``:
+    top-left g + a^T Q a, off-diagonal Q a, fiber Q, with the connection's
+    linear gauge term added at the node's coordinates."""
+    a = alpha.values[idx]
+    if alpha.linear is not None:
+        a = a + np.einsum("kbn,n->kb", alpha.linear, g.chart.grid_coords()[idx])
+    qv = q.values[idx]
+    qa = qv @ a
+    return np.block([[g.values[idx] + a.T @ qa, qa.T], [qa, qv]])
 
+
+class TestAssembleTotalMetric:
     def test_heisenberg_matches_closed_form_matrix(self):
         from bundleflow.catalog import heisenberg_bundle_fields, heisenberg_total_metric
         g, q, a = heisenberg_bundle_fields(1, 1.0)
-        total = assemble_total_metric(g, q, a)
         display = heisenberg_total_metric(1, 1.0)
-        for point in ([0.25, -0.5, 0.1], [-0.75, 0.5, 2.0]):
-            assert np.max(np.abs(total(point) - display(point))) < 1e-12
+        coords = g.chart.grid_coords()
+        for idx, z in (((10, 4), 0.1), ((2, 12), 2.0)):
+            point = np.append(coords[idx], z)
+            assert np.max(np.abs(total_metric_at_node(g, q, a, idx) - display(point))) < 1e-12
 
     def test_sol3_matches_closed_form_matrix_at_nodes(self):
         from bundleflow.catalog import sol3_bundle_fields, sol3_total_metric
         g, q, a = sol3_bundle_fields(1.0, 1.0)
-        total = assemble_total_metric(g, q, a)
         display = sol3_total_metric(1.0, 1.0)
-        xs = g.chart.axis_coords(0)
-        ys = g.chart.axis_coords(1)
-        for i, j in ((8, 3), (16, 20), (24, 9)):
-            point = [xs[i], ys[j], 0.4]
-            assert np.max(np.abs(total(point) - display(point))) < 1e-11
+        coords = g.chart.grid_coords()
+        for idx in ((8, 3), (16, 20), (24, 9)):
+            point = np.append(coords[idx], 0.4)
+            assert np.max(np.abs(total_metric_at_node(g, q, a, idx) - display(point))) < 1e-11
 
     def test_sol3_matrix_reference_value(self):
         from bundleflow.catalog import sol3_total_metric

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bundleflow.errors import ChartMismatch, DimensionMismatch, DomainError, SingularMetric
-from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart,
-                              PeriodicInterpolator, ScalarField, deriv, deriv2,
-                              grad, require_same_chart, second_derivs)
+from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart, ScalarField,
+                              deriv, deriv2, grad, require_same_chart, second_derivs)
 
 
 def chart2d(res=32, L=2.0 * np.pi):
@@ -88,7 +87,6 @@ class TestFields:
         a = ConnectionField(c, 1, np.zeros(c.resolution + (1, 2)), lin)
         f = a.curvature_linear_part()
         assert f[0, 0, 1] == -1.0 and f[0, 1, 0] == 1.0
-        assert np.allclose(a.coefficients_at([0.5, 0.0]), [[0.0, -0.5]])
 
 
 class TestDerivatives:
@@ -119,39 +117,3 @@ class TestDerivatives:
         assert g.shape == c.resolution + (2,)
         assert np.max(np.abs(g[..., 1])) < 1e-12
 
-
-class TestInterpolation:
-    def test_nodal_exactness(self):
-        c = chart2d(16)
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=c.resolution)
-        interp = PeriodicInterpolator(c, v)
-        pts = c.grid_coords().reshape(-1, 2)
-        assert np.max(np.abs(interp(pts) - v.reshape(-1))) < 1e-12
-
-    def test_smooth_accuracy_off_nodes(self):
-        c = chart2d(64)
-        xy = c.grid_coords()
-        v = np.sin(xy[..., 0]) * np.cos(xy[..., 1])
-        interp = PeriodicInterpolator(c, v)
-        rng = np.random.default_rng(6)
-        pts = rng.uniform(0, 2 * np.pi, size=(200, 2))
-        exact = np.sin(pts[:, 0]) * np.cos(pts[:, 1])
-        assert np.max(np.abs(interp(pts) - exact)) < 1e-5
-
-    def test_tensor_tail_supported(self):
-        c = PeriodicChart((1.0,), (8,))
-        v = np.zeros((8, 2, 2))
-        v[:, 0, 1] = np.arange(8.0)
-        interp = PeriodicInterpolator(c, v)
-        out = interp(np.array([c.axis_coords(0)[3]]))     # one 1-d point
-        assert out.shape == (2, 2)
-        assert abs(out[0, 1] - 3.0) < 1e-12
-        batch = interp(np.array([[c.axis_coords(0)[3]], [c.axis_coords(0)[5]]]))
-        assert batch.shape == (2, 2, 2)
-
-    def test_wrap_periodicity(self):
-        c = PeriodicChart((2.0,), (16,))
-        x = c.axis_coords(0)
-        interp = PeriodicInterpolator(c, np.sin(np.pi * x))
-        assert abs(interp(np.array([0.1])) - interp(np.array([2.1]))) < 1e-12
