@@ -1,10 +1,10 @@
-"""Catalog of reference geometries.
+"""Catalog of reference geometries: the one module that knows their bundle decomposition.
 
 Each constructor returns a :class:`CatalogEntry` holding the reduced-flow
 initial data, the recorded value of the conserved quantity, and, where an
 explicit coordinate form exists, the total-space metric used by the
-finite-difference curvature oracle plus discretized (g, Q, alpha) bundle
-fields on a periodic chart.
+finite-difference curvature oracle and the pointwise bundle data with the
+gauge of that metric.  Constructors build no grid fields.
 
 Geometries: anisotropic metrics on the 3-sphere (circle fibers over a round
 2-sphere), their hyperbolic counterparts on the universal cover of the
@@ -28,13 +28,24 @@ from .kahler_einstein import KEParams, KEState, closed_form_flat, psi_cleared
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One reference geometry.
+
+    ``bundle_at(point)`` maps a point of the ``total_metric`` chart to the
+    pointwise bundle data at its base point and the gauge ``alpha_at`` (q, d)
+    of that chart, so ``blocks_to_chart(ricci_blocks_torus(data), alpha_at)``
+    is the Ricci tensor the oracle measures; it raises DomainError off the
+    geometry's domain, in which ``sample_point`` lies.  Both are None for
+    entries without a closed-form decomposition.
+    """
+
     name: str
     ke_params: KEParams
     ke_state0: KEState
     implicit_constant: Optional[float] = None
     invariant_value: Optional[float] = None
     total_metric: Optional[CoordinateMetric] = None
-    bundle_fields: Optional[tuple[MetricField, QField, ConnectionField]] = None
+    bundle_at: Optional[Callable[[np.ndarray], tuple[PointwiseBundleData, np.ndarray]]] = None
+    sample_point: Optional[tuple[float, ...]] = None
     closed_form: Optional[Callable[[float], KEState]] = None
     notes: str = ""
 
@@ -186,22 +197,28 @@ def heisenberg_pointwise_data(n: int, c: float) -> PointwiseBundleData:
 
 
 def heisenberg(n: int, c: float) -> CatalogEntry:
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    """H_{2n+1} over the flat R^{2n}; n is a positive integer (2.0 counts, 2.5 does not)."""
+    if not (float(n).is_integer() and n >= 1):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     if c <= 0:
         raise DomainError("c must be positive")
+    n = int(n)
     params = KEParams(n=n, lam=0.0)
     state0 = KEState(u=1.0, f=-np.log(c))
 
     def closed(t: float) -> KEState:
         return closed_form_flat(t, params, u0=1.0, C=-np.log(c))
 
-    # grid fields only while the 2n-dimensional base fits a periodic chart
-    fields = heisenberg_bundle_fields(n, c) if 2 * n <= 4 else None
+    def bundle_at(point):
+        # gauge of heisenberg_total_metric: a^1_{y_i} = -x_i
+        x = np.asarray(point, dtype=float)[:n]
+        return heisenberg_pointwise_data(n, c), np.concatenate([np.zeros(n), -x])[None, :]
+
     return CatalogEntry(
         name="heisenberg", ke_params=params, ke_state0=state0,
         total_metric=heisenberg_total_metric(n, c),
-        bundle_fields=fields,
+        bundle_at=bundle_at,
+        sample_point=(0.3,) * n + (-0.2,) * n + (0.5,),
         closed_form=closed,
         notes="Ricci-flat base; flow in closed form, "
               "fiber coefficient c(t) = c / sqrt(1 + (n+2) c^2 t)")
@@ -230,32 +247,16 @@ def sol3_total_metric(a: float, c: float) -> CoordinateMetric:
     return CoordinateMetric(3, evaluate, name=f"sol3({a:g},{c:g})")
 
 
-def sol3_bundle_fields(a: float, c: float, resolution: int = 32):
-    """Hyperbolic-plane base fields sampled on the chart x in [1, 2).
-
-    The samples are not periodic; only nodal values and stencils at interior
-    nodes are meaningful, which is all the catalog checks use.
-    """
-    chart = PeriodicChart((1.0, 1.0), (resolution, resolution), (1.0, 0.0))
-    xs = chart.axis_coords(0)
-    shape = chart.resolution
-    g = np.zeros(shape + (2, 2))
-    g[..., 0, 0] = (c / xs ** 2)[:, None]
-    g[..., 1, 1] = (c / xs ** 2)[:, None]
-    alpha = np.zeros(shape + (1, 2))
-    alpha[..., 0, 1] = (a / xs)[:, None]
-    return (MetricField(chart, g), QField(chart, 1, np.ones(shape + (1, 1))),
-            ConnectionField(chart, 1, alpha))
-
-
 def sol3_pointwise_data(a: float, c: float, x: float) -> PointwiseBundleData:
     """Exact pointwise data of the Bianchi-III bundle at base point (x, y).
 
     Base metric (c/x^2) delta: Christoffels of a conformally flat half-plane
     metric, Ricci = -(1/x^2) delta; curvature F^1_xy = -a/x^2 (the exterior
     derivative of the stored gauge (a/x) dy), divergence-free because the
-    hyperbolic area form is parallel.
+    hyperbolic area form is parallel.  Raises DomainError unless x > 0.
     """
+    if not x > 0:
+        raise DomainError(f"sol3 lives on x > 0, got x = {x:g}")
     g = (c / x ** 2) * np.eye(2)
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = -1.0 / x
@@ -275,18 +276,26 @@ def sol3_pointwise_data(a: float, c: float, x: float) -> PointwiseBundleData:
 
 def sol3(a: float, c: float) -> CatalogEntry:
     if a == 0:
-        raise DomainError("a = 0 is the direct-product case; use flat_connection_flow")
+        raise DomainError("a = 0 is the direct-product case with a flat connection: "
+                          "u = u0 - 2 lambda t in closed form, no reduced flow to run")
     if a < 0 or c <= 0:
         raise DomainError("need a > 0 and c > 0")
     params = KEParams(n=1, lam=-1.0 / a)
     state0 = KEState(u=c / a, f=0.0)
     inv = 1.0 + a * a / c
+
+    def bundle_at(point):
+        # gauge of sol3_total_metric: a^1_y = a / x
+        x = float(point[0])
+        return sol3_pointwise_data(a, c, x), np.array([[0.0, a / x]])
+
     return CatalogEntry(
         name="sol3", ke_params=params, ke_state0=state0,
         implicit_constant=float(np.sqrt(inv)),
         invariant_value=float(inv),
         total_metric=sol3_total_metric(a, c),
-        bundle_fields=sol3_bundle_fields(a, c),
+        bundle_at=bundle_at,
+        sample_point=(1.3, 0.2, 0.1),
         notes="conserved relation e^{4f} + a e^{2f}/u = 1 + a^2/c")
 
 
@@ -310,7 +319,4 @@ def by_name(name: str, params: dict) -> CatalogEntry:
     missing = [k for k in keys if k not in params]
     if missing:
         raise DomainError(f"geometry '{name}' needs parameters {list(keys)}, missing {missing}")
-    args = [params[k] for k in keys]
-    if name == "heisenberg":
-        args[0] = int(args[0])
-    return ctor(*args)
+    return ctor(*(params[k] for k in keys))

@@ -4,14 +4,14 @@
 
 Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
 configuration is a single JSON document validated strictly before any work
-starts: unknown keys are rejected (also inside 'numerics', 'params' and
-'style'), every numerics value and geometry parameter is type- and
-range-checked (dt, t_end, c_cfl, tol, h, extent finite and positive,
-record_every an integer >= 1, resolution an integer >= 8), 'geometry' must
-name a catalog entry, 'outputs' must map to paths, 'style' to strings,
-'point' must be a list of finite numbers, and 'checks' must be a list of
-names.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure, 4 verification failure.
+starts: unknown keys are rejected (also inside 'params' and 'style', and
+inside 'numerics' every key the command does not read), every numerics
+value and geometry parameter is type- and range-checked (dt, t_end, c_cfl,
+tol, h, extent finite and positive, record_every an integer >= 1,
+resolution an integer >= 8), 'geometry' must name a catalog entry,
+'outputs' must map to paths, 'style' to strings, 'point' must be a list of
+finite numbers, and 'checks' must be a list of names.  Exit codes: 0
+success, 2 configuration error, 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from . import __version__
 from . import bakry_emery as be
 from . import kahler_einstein as ke
 from .bundle import BundleState, blocks_to_chart, bundle_integrate, ricci_blocks_torus
-from .catalog import (CONSTRUCTORS, by_name, heisenberg_bundle_fields,
-                      heisenberg_pointwise_data, sol3_pointwise_data)
+from .catalog import CONSTRUCTORS, by_name, heisenberg_bundle_fields
 from .diffgeo import ricci_with_defect
-from .errors import BundleFlowError, ConfigError, EmptyInput
+from .errors import BundleFlowError, ConfigError, DomainError, EmptyInput
 from .grids import MIN_RESOLUTION, MetricField, PeriodicChart, ScalarField
 from .svgplot import render_phase_portrait
 from .traces import FlowTrace, atomic_write_text, read_trace, reduced_flow_trace, write_trace
@@ -42,13 +41,17 @@ COMMANDS = ("curvature", "flow-ode", "flow-be", "flow-bundle", "verify", "plot")
 
 _SCHEMA = {
     "curvature": {"required": {"command", "geometry", "params"},
-                  "optional": {"numerics", "outputs", "point"}},
+                  "optional": {"numerics", "outputs", "point"},
+                  "numerics": ("h",)},
     "flow-ode": {"required": {"command", "geometry", "params"},
-                 "optional": {"numerics", "outputs"}},
+                 "optional": {"numerics", "outputs"},
+                 "numerics": ("t_end", "tol", "extinction_ratio")},
     "flow-be": {"required": {"command", "params"},
-                "optional": {"numerics", "outputs"}},
+                "optional": {"numerics", "outputs"},
+                "numerics": ("resolution", "extent", "dt", "t_end", "c_cfl", "record_every")},
     "flow-bundle": {"required": {"command", "geometry", "params"},
-                    "optional": {"numerics", "outputs"}},
+                    "optional": {"numerics", "outputs"},
+                    "numerics": ("resolution", "dt", "t_end", "c_cfl", "record_every")},
     "verify": {"required": {"command"}, "optional": {"checks", "outputs"}},
     "plot": {"required": {"command", "inputs"}, "optional": {"style", "outputs"}},
 }
@@ -138,9 +141,11 @@ def load_config(path: str) -> dict:
     numerics = cfg.get("numerics", {})
     if not isinstance(numerics, dict):
         raise ConfigError("'numerics' must be an object")
-    bad = set(numerics) - set(_NUMERICS)
+    allowed = schema.get("numerics", ())
+    bad = set(numerics) - set(allowed)
     if bad:
-        raise ConfigError(f"unknown numerics keys: {sorted(bad)}")
+        raise ConfigError(f"unknown numerics keys for {command}: {sorted(bad)}; "
+                          f"allowed: {list(allowed)}")
     for key, value in numerics.items():
         accepts, want = _NUMERICS[key]
         if not accepts(value):
@@ -206,24 +211,17 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     num = cfg.get("numerics", {})
     h = float(num.get("h", 1e-3))
     entry = _geometry_entry(cfg)
-    if geometry not in ("heisenberg", "sol3"):
-        raise ConfigError(f"curvature command supports heisenberg and sol3, not '{geometry}'")
-    n = params.get("n", 1)
-    default = [0.3] * n + [-0.2] * n + [0.5] if geometry == "heisenberg" else [1.3, 0.2, 0.1]
-    point = np.asarray(cfg.get("point", default), dtype=float)
+    if entry.bundle_at is None:
+        raise ConfigError(f"curvature needs a pointwise bundle decomposition, "
+                          f"which '{geometry}' does not record")
+    point = np.asarray(cfg.get("point", entry.sample_point), dtype=float)
     if point.shape != (entry.total_metric.dims,):
         raise ConfigError(f"'point' must have {entry.total_metric.dims} coordinates "
                           f"for {geometry}, got {point.size}")
-    if geometry == "heisenberg":
-        alpha_at = np.concatenate([np.zeros(n), -point[:n]])[None, :]
-        data = heisenberg_pointwise_data(n, float(params["c"]))
-    else:
-        x = float(point[0])
-        if x <= 0:
-            raise ConfigError(f"sol3 lives on x > 0: 'point' has x = {x:g}")
-        a = float(params["a"])
-        data = sol3_pointwise_data(a, float(params["c"]), x)
-        alpha_at = np.array([[0.0, a / x]])
+    try:
+        data, alpha_at = entry.bundle_at(point)
+    except DomainError as exc:
+        raise ConfigError(f"'point' is outside the domain: {exc}")
     blocks = ricci_blocks_torus(data)
     expected = blocks_to_chart(blocks, alpha_at)
     oracle, defect = ricci_with_defect(entry.total_metric, point, step=h)
@@ -387,17 +385,11 @@ def main(argv=None) -> int:
                 f"config 'command' is {cfg['command']!r}, CLI asked for {args.command!r}")
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-        if args.command == "flow-ode":
-            return cmd_flow_ode(cfg, args.out)
-        if args.command == "curvature":
-            return cmd_curvature(cfg, args.out)
-        if args.command == "flow-be":
-            return cmd_flow_be(cfg, args.out)
-        if args.command == "flow-bundle":
-            return cmd_flow_bundle(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.out, args.check)
-        return cmd_plot(cfg, args.out)
+        run = {"curvature": cmd_curvature, "flow-ode": cmd_flow_ode, "flow-be": cmd_flow_be,
+               "flow-bundle": cmd_flow_bundle, "plot": cmd_plot}[args.command]
+        return run(cfg, args.out)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -54,24 +54,36 @@ class CoordinateMetric:
 def spd_inverse(g: np.ndarray, cap: float = CONDITION_CAP) -> np.ndarray:
     """Inverse of an SPD matrix (or stack of them) through its Cholesky factor.
 
-    Raises SingularMetric if the factorization fails or, at any node of the
-    stack, the eigenvalue ratio exceeds ``cap``; the message names the first
-    such node.  Flows are expected to stop before reaching this state.
+    Raises SingularMetric if, at any node of the stack, the matrix has a
+    non-finite entry, is not positive definite, or has an eigenvalue ratio
+    above ``cap``; the message names the first such node.  Flows are
+    expected to stop before reaching this state.
     """
     try:
         low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("matrix is not positive definite") from exc
-    w = np.linalg.eigvalsh(g)                  # ascending at every node
+        w = np.linalg.eigvalsh(g)              # ascending at every node
+    except np.linalg.LinAlgError as exc:       # eigvalsh too, on a NaN the factor let through
+        raise SingularMetric(_rejection(g, cap)) from exc
     wmin, wmax = w[..., 0], w[..., -1]
-    ok = (wmin > 0.0) & (wmax <= cap * wmin) & np.isfinite(wmax)
-    if not np.all(ok):
-        node = tuple(int(i) for i in np.argwhere(~ok)[0])
-        where = f" at node {node}" if node else ""
-        raise SingularMetric(f"condition number above {cap:g}{where} "
-                             f"(eigenvalues {wmin[node]:.3e} to {wmax[node]:.3e})")
+    if not np.all((wmin > 0.0) & (wmax / cap <= wmin) & np.isfinite(wmax)):
+        raise SingularMetric(_rejection(g, cap))
     low_inv = np.linalg.inv(low)
     return np.swapaxes(low_inv, -1, -2) @ low_inv
+
+
+def _rejection(g: np.ndarray, cap: float) -> str:
+    """Why ``spd_inverse`` rejects g, naming the first node that is not
+    finite, not positive definite or above the cap."""
+    for node in np.ndindex(g.shape[:-2]):
+        where = f" at node {node}" if node else ""
+        if not np.all(np.isfinite(g[node])):
+            return f"matrix has a non-finite entry{where}"
+        w = np.linalg.eigvalsh(g[node])
+        if not w[0] > 0.0:
+            return f"matrix is not positive definite{where}"
+        if not w[-1] / cap <= w[0]:
+            return f"condition number above {cap:g}{where} (eigenvalues {w[0]:.3e} to {w[-1]:.3e})"
+    return "matrix is not positive definite"
 
 
 def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -92,11 +92,6 @@ def closed_form_flat(t, p: KEParams, u0: float, C: float) -> KEState:
     return KEState(float(u), float(f), float(t))
 
 
-def flat_connection_flow(t, u0: float, lam: float) -> float:
-    """u(t) = u0 - 2 lambda t for an Einstein base with a flat connection."""
-    return u0 - 2.0 * lam * t
-
-
 def _psi(u, f, p: KEParams):
     """Psi and its parenthesis 1 - (n + 1) / (2 lambda u exp(2 f)); Psi is NaN
     where the parenthesis is negative."""

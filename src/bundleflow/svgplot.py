@@ -5,7 +5,7 @@ x = exp(-2 f), y = u, with axes, tick labels and a legend built from trace
 metadata.  No plotting library: output is a deterministic function of the
 inputs (fixed palette, fixed float formatting), so identical traces yield
 byte-identical documents.  Style strings and legend labels are
-XML-escaped.
+XML-escaped, so any text gives a well-formed document.
 """
 
 from __future__ import annotations
@@ -27,9 +27,15 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+_NON_XML = dict.fromkeys(set(range(0x20)) - {0x09, 0x0A, 0x0D}, "\ufffd")
+
+
 def _escape(text: str) -> str:
-    """XML text-node escaping (``xml.sax.saxutils.escape`` pulls in urllib and ssl)."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """XML text-node escaping (``xml.sax.saxutils.escape`` pulls in urllib and ssl);
+    the C0 controls XML 1.0 forbids even as references (all but tab, LF and
+    CR) become U+FFFD."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .translate(_NON_XML))
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:

@@ -20,8 +20,7 @@ from .bundle import (BundleState, PointwiseBundleData, StructureConstants,
                      lie_group_ricci, ricci_blocks_general, ricci_blocks_torus,
                      warped_product_data)
 from .catalog import (berger, heisenberg, heisenberg_bundle_fields, heisenberg_c_of_t,
-                      heisenberg_pointwise_data, sl2r, sol3, sol3_pointwise_data,
-                      su2_invariant_metric, su2_sigma)
+                      sl2r, sol3, su2_invariant_metric, su2_sigma)
 from .diffgeo import CoordinateMetric
 from .diffgeo import ricci as ricci_oracle
 from .errors import BundleFlowError
@@ -155,12 +154,10 @@ def check_lauret() -> CheckResult:
     """Variable-change equivalence and the conserved quartic combination."""
     worst_traj = 0.0
     worst_inv = 0.0
-    cases = [(berger(1.0, 2.0), 10.0, 1e-2), (sol3(1.0, 1.0), 50.0, None)]
+    cases = [(berger(1.0, 2.0), 10.0, 1e-2), (sol3(1.0, 1.0), 50.0, ke.EXTINCTION_RATIO)]
     for entry, t_end, ext in cases:
-        kwargs = {"tol": 1e-9}
-        if ext is not None:
-            kwargs["extinction_ratio"] = ext
-        trace = ke.ke_integrate(entry.ke_state0, entry.ke_params, t_end, **kwargs)
+        trace = ke.ke_integrate(entry.ke_state0, entry.ke_params, t_end, tol=1e-9,
+                                extinction_ratio=ext)
         a_ke, b_ke = trace.lauret_series()
         l0 = ke.to_lauret(entry.ke_state0, entry.ke_params)
         t_eval = [float(t) for t in trace.t[1:]]
@@ -190,25 +187,14 @@ def check_lauret() -> CheckResult:
 
 def _oracle_cases():
     cases = []
-
-    data_h1 = heisenberg_pointwise_data(1, 1.0)
-    alpha_h1 = np.array([[0.0, -0.3]])          # gauge at base point x = 0.3
-    cases.append(("heisenberg(1,1)", heisenberg(1, 1.0).total_metric,
-                  np.array([0.3, -0.2, 0.7]),
-                  blocks_to_chart(ricci_blocks_torus(data_h1), alpha_h1)))
-
-    data_h2 = heisenberg_pointwise_data(2, 1.0)
-    alpha_h2 = np.array([[0.0, 0.0, -0.3, -0.15]])
-    cases.append(("heisenberg(2,1)", heisenberg(2, 1.0).total_metric,
-                  np.array([0.3, 0.15, -0.2, 0.4, 0.7]),
-                  blocks_to_chart(ricci_blocks_torus(data_h2), alpha_h2)))
-
-    x0 = 1.3
-    data_s = sol3_pointwise_data(1.0, 1.0, x0)
-    alpha_s = np.array([[0.0, 1.0 / x0]])
-    cases.append(("sol3(1,1)", sol3(1.0, 1.0).total_metric,
-                  np.array([x0, 0.4, -0.1]),
-                  blocks_to_chart(ricci_blocks_torus(data_s), alpha_s)))
+    for label, entry, point in (
+            ("heisenberg(1,1)", heisenberg(1, 1.0), [0.3, -0.2, 0.7]),
+            ("heisenberg(2,1)", heisenberg(2, 1.0), [0.3, 0.15, -0.2, 0.4, 0.7]),
+            ("sol3(1,1)", sol3(1.0, 1.0), [1.3, 0.4, -0.1])):
+        point = np.array(point)
+        data, alpha_at = entry.bundle_at(point)
+        cases.append((label, entry.total_metric, point,
+                      blocks_to_chart(ricci_blocks_torus(data), alpha_at)))
 
     su2 = StructureConstants.su2()
     for label, q_frame in (("su2-product-round", np.eye(3)),

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from bundleflow.catalog import (berger, by_name, heisenberg, heisenberg_c_of_t,
-                                sl2r, sol3)
+from bundleflow.bundle import blocks_to_chart, ricci_blocks_torus
+from bundleflow.catalog import (berger, by_name, heisenberg, heisenberg_c_of_t, sl2r, sol3,
+                                sol3_pointwise_data)
 from bundleflow.diffgeo import ricci
 from bundleflow.errors import DomainError
+from bundleflow.grids import MetricField
 from bundleflow.kahler_einstein import ke_integrate, ke_rhs, psi
 
 
@@ -114,9 +116,13 @@ class TestHeisenberg:
         assert np.max(np.abs(reduced_spectrum(e) - expected)) < 1e-14
 
     def test_large_n_has_no_grid_fields(self):
+        # pointwise data and gauge for any n; no entry carries grid fields
         e = heisenberg(3, 1.0)
-        assert e.bundle_fields is None
         assert e.total_metric.dims == 7
+        assert len(e.sample_point) == 7
+        data, alpha_at = e.bundle_at(e.sample_point)
+        assert data.dims == 6 and alpha_at.shape == (1, 6)
+        assert not hasattr(e, "bundle_fields")
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -144,7 +150,7 @@ class TestSol3:
                            np.array([[1, 0, 0], [0, 2, 1], [0, 1, 1]]), atol=1e-14)
 
     def test_direct_product_case_redirected(self):
-        with pytest.raises(DomainError, match="flat_connection_flow"):
+        with pytest.raises(DomainError, match="u = u0 - 2 lambda t"):
             sol3(0.0, 1.0)
 
     def test_conservation_short_run(self):
@@ -197,11 +203,10 @@ class TestBergerBundleDecomposition:
 
 
 class TestSol3GaugeFreedom:
-    def test_two_primitives_same_blocks(self):
+    def test_two_primitives_same_blocks(self, sol3_fields):
         from bundleflow.bundle import bundle_data_from_fields, ricci_blocks_torus
-        from bundleflow.catalog import sol3_bundle_fields
         from bundleflow.grids import ConnectionField, grad
-        g, q, a1 = sol3_bundle_fields(1.0, 1.0)
+        g, q, a1 = sol3_fields
         chart = g.chart
         coords = chart.grid_coords()
         psi = 0.4 * np.sin(2 * np.pi * coords[..., 0]) * np.cos(2 * np.pi * coords[..., 1])
@@ -213,6 +218,42 @@ class TestSol3GaugeFreedom:
         interior = (slice(4, -4), slice(None))
         for lhs, rhs in ((b1.fiber, b2.fiber), (b1.mixed, b2.mixed), (b1.base, b2.base)):
             assert np.max(np.abs(lhs[interior] - rhs[interior])) < 1e-9
+
+
+class TestBundleAt:
+    """Each entry's pointwise bundle data and gauge give the Ricci tensor of its total metric."""
+
+    @pytest.mark.parametrize("ctor, args", [(heisenberg, (1, 1.0)), (heisenberg, (2, 0.9)),
+                                            (sol3, (1.0, 1.0))],
+                             ids=["heisenberg-1", "heisenberg-2", "sol3"])
+    def test_blocks_match_oracle_at_sample_point(self, ctor, args):
+        entry = ctor(*args)
+        point = np.array(entry.sample_point)
+        data, alpha_at = entry.bundle_at(point)
+        expected = blocks_to_chart(ricci_blocks_torus(data), alpha_at)
+        oracle = ricci(entry.total_metric, point, step=1e-3)
+        assert np.max(np.abs(oracle - expected)) < 2e-5
+
+    def test_sol3_off_the_half_plane_rejected(self):
+        with pytest.raises(DomainError, match="x > 0"):
+            sol3_pointwise_data(1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="x > 0"):
+            sol3(1.0, 1.0).bundle_at([-0.5, 0.0, 0.0])
+
+    def test_entries_without_decomposition(self):
+        for entry in (berger(1.0, 2.0), sl2r(1.0, 2.0)):
+            assert entry.bundle_at is None and entry.sample_point is None
+
+    def test_constructors_build_no_grid_fields(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a catalog constructor built a grid field")
+
+        monkeypatch.setattr(MetricField, "__post_init__", refuse)
+        berger(1.0, 2.0)
+        sl2r(1.0, 2.0)
+        for n in (1, 2, 3):
+            heisenberg(n, 1.0)
+        sol3(1.0, 1.0)
 
 
 class TestRegistry:
@@ -229,3 +270,7 @@ class TestRegistry:
     def test_missing_parameters(self):
         with pytest.raises(DomainError, match="missing"):
             by_name("sol3", {"a": 1.0})
+
+    def test_fractional_n_rejected(self):
+        with pytest.raises(DomainError, match="integer"):
+            by_name("heisenberg", {"n": 2.5, "c": 1})

@@ -96,8 +96,8 @@ class TestConfigValidation:
         ("flow-be", "t_end", 0), ("flow-ode", "t_end", -1),
     ])
     def test_bad_step_numerics_exit_2(self, tmp_path, capsys, command, key, value):
-        cfg = {"command": command, "params": {"N": 5},
-               "numerics": {"t_end": 0.01, "resolution": 16, key: value}}
+        numerics = {"t_end": 0.01} if command == "flow-ode" else {"t_end": 0.01, "resolution": 16}
+        cfg = {"command": command, "params": {"N": 5}, "numerics": {**numerics, key: value}}
         if command == "flow-bundle":
             cfg.update(geometry="heisenberg", params={"n": 1, "c": 1.0})
         elif command == "flow-ode":
@@ -151,12 +151,30 @@ class TestConfigValidation:
         ({"command": "plot", "inputs": [], "style": {"title": 5}}, "style"),
         ({"command": "plot", "inputs": [], "style": {"colour": "red"}}, "style"),
         ({"command": "plot", "inputs": [3]}, "inputs"),
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
+          "numerics": {"dt": 0.1}}, "['dt']"),
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
+          "numerics": {"resolution": 16}}, "['resolution']"),
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
+          "numerics": {"c_cfl": 0.2}}, "['c_cfl']"),
+        ({"command": "flow-be", "params": {"N": 5},
+          "numerics": {"t_end": 0.01, "extinction_ratio": 0.999999}}, "['extinction_ratio']"),
+        ({"command": "flow-be", "params": {"N": 5}, "numerics": {"t_end": 0.01, "tol": 1e-9}},
+         "['tol']"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"t_end": 0.01, "extent": 2.0}}, "['extent']"),
+        ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"t_end": 1.0}}, "['t_end']"),
+        ({"command": "curvature", "geometry": "berger",
+          "params": {"lambda1": 1.0, "lambda2": 2.0}}, "'berger'"),
     ], ids=["tol-string", "tol-zero", "lambda1-string", "n-string", "c-string",
             "resolution-string", "resolution-4-bundle", "resolution-4-be", "N-equals-n",
             "bundle-n-3", "checks-string", "outputs-number", "point-string", "point-short",
             "sol3-point-x-0", "be-params-typo", "ode-params-typo", "bundle-params-case",
             "curvature-params-extra", "geometry-list", "style-string", "style-number",
-            "style-unknown-key", "inputs-number"])
+            "style-unknown-key", "inputs-number", "ode-dt", "ode-resolution", "ode-c_cfl",
+            "be-extinction_ratio", "be-tol", "bundle-extent", "curvature-t_end",
+            "curvature-berger"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, cfg, named):
         path = write_config(tmp_path, "bad.json", cfg)
         assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2

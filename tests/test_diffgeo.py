@@ -1,11 +1,13 @@
 """Finite-difference curvature operators against hand and symbolic values."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow.diffgeo import (CoordinateMetric, _ricci_from_gamma, christoffel,
+from bundleflow.diffgeo import (CONDITION_CAP, CoordinateMetric, _ricci_from_gamma, christoffel,
                                 christoffel_field, drift_laplacian_field, grad_norm_sq_field,
                                 hessian_field, laplacian_field, ricci, ricci_field_with_defect,
                                 ricci_with_defect, spd_inverse)
@@ -195,9 +197,9 @@ class TestAssembleTotalMetric:
             point = np.append(coords[idx], z)
             assert np.max(np.abs(total_metric_at_node(g, q, a, idx) - display(point))) < 1e-12
 
-    def test_sol3_matches_closed_form_matrix_at_nodes(self):
-        from bundleflow.catalog import sol3_bundle_fields, sol3_total_metric
-        g, q, a = sol3_bundle_fields(1.0, 1.0)
+    def test_sol3_matches_closed_form_matrix_at_nodes(self, sol3_fields):
+        from bundleflow.catalog import sol3_total_metric
+        g, q, a = sol3_fields
         display = sol3_total_metric(1.0, 1.0)
         coords = g.chart.grid_coords()
         for idx in ((8, 3), (16, 20), (24, 9)):
@@ -235,6 +237,47 @@ class TestSpdInverse:
         grid[3, 5] = np.diag([1.0, 1e-13])
         with pytest.raises(SingularMetric, match=r"at node \(3, 5\).*1\.000e-13"):
             spd_inverse(grid)
+
+    # A node's kind, and for SPD nodes log10 of its smallest eigenvalue and of
+    # its eigenvalue ratio: magnitudes span 200 decades, ratios straddle the cap.
+    _NODE = st.tuples(st.sampled_from(["spd"] * 6 + ["indefinite", "nan", "inf", "-inf"]),
+                      st.floats(-100.0, 100.0), st.floats(0.0, 15.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), nodes=st.lists(_NODE, min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fuzzed_stacks(self, d, nodes, seed):
+        """Either an inverse with a per-node residual of a few ulps times the
+        node's eigenvalue ratio, or SingularMetric naming a node that breaks
+        definiteness, finiteness or the cap.  Ratios within a factor 2 of the
+        cap may go either way: rounding the assembled matrix moves the
+        smallest eigenvalue by up to eps times the largest."""
+        rng = np.random.default_rng(seed)
+        stack, ratios = [], []
+        for kind, low, spread in nodes:
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            w = 10.0 ** (low + spread * np.r_[0.0, rng.uniform(size=max(d - 2, 0)), 1.0][:d])
+            if kind == "indefinite":
+                w[rng.integers(d)] *= -1.0
+            m = (q * w) @ q.T
+            m = 0.5 * (m + m.T)
+            if kind in ("nan", "inf", "-inf"):
+                i, j = rng.integers(d, size=2)
+                m[i, j] = m[j, i] = float(kind)
+            stack.append(m)
+            ratios.append(w.max() / w.min() if kind == "spd" else np.inf)
+        stack, ratios = np.array(stack), np.array(ratios)
+        eps = np.finfo(float).eps
+        try:
+            inv = spd_inverse(stack)
+        except SingularMetric as exc:
+            named = re.search(r"at node \((\d+),\)", str(exc))
+            assert named, str(exc)
+            assert ratios[int(named.group(1))] > CONDITION_CAP / 2, str(exc)
+        else:
+            assert np.all(ratios < 2 * CONDITION_CAP)
+            residual = np.max(np.abs(inv @ stack - np.eye(d)), axis=(1, 2))
+            assert np.all(residual <= 16 * d * eps * ratios), (residual, ratios)
 
 
 def random_metric_field(d: int, seed: int) -> MetricField:

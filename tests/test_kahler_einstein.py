@@ -5,9 +5,9 @@ import pytest
 
 from bundleflow.errors import DomainError, LambdaZero, NegativeBase
 from bundleflow.kahler_einstein import (KEParams, KEState, LauretState, closed_form_flat,
-                                        flat_connection_flow, ke_integrate, ke_rhs,
-                                        lambda_invariant, lauret_integrate, lauret_rhs,
-                                        psi, psi_cleared, to_lauret)
+                                        ke_integrate, ke_rhs, lambda_invariant,
+                                        lauret_integrate, lauret_rhs, psi, psi_cleared,
+                                        to_lauret)
 
 LN8_OVER_6 = 0.34657359027997264   # log(8) / 6
 
@@ -152,19 +152,6 @@ class TestLauret:
         inv = b ** 4 / a ** 4 - b ** 3 / a ** 2
         assert reason == "Horizon"
         assert np.max(np.abs(inv - inv[0])) / abs(inv[0]) < 1e-7
-
-
-class TestFlatConnectionFlow:
-    def test_constant_for_ricci_flat(self):
-        assert flat_connection_flow(5.0, 1.3, 0.0) == 1.3
-
-    def test_linear_collapse(self):
-        # u0 - 2 lambda t by direct substitution
-        assert flat_connection_flow(0.25, 1.0, 1.0) == pytest.approx(0.5)
-        assert flat_connection_flow(0.25, 1.0, 2.0) == pytest.approx(0.0)
-
-    def test_immortal_expansion(self):
-        assert flat_connection_flow(3.0, 1.0, -1.0) == pytest.approx(7.0)
 
 
 class TestKeIntegrate:

@@ -33,6 +33,12 @@ class TestRender:
         with pytest.raises(EmptyInput):
             render_phase_portrait([bad])
 
+    def test_forbidden_control_characters_replaced(self):
+        # XML 1.0 has no C0 controls but tab, LF and CR, not even as references
+        svg = render_phase_portrait([tiny_trace("l\x01m")], {"title": "a\u0001b\tc"})
+        texts = [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
+        assert "a\ufffdb\tc" in texts and "l\ufffdm" in texts
+
     def test_deterministic_bytes(self):
         svg1 = render_phase_portrait([tiny_trace(), tiny_trace("y")])
         svg2 = render_phase_portrait([tiny_trace(), tiny_trace("y")])
