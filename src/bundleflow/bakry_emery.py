@@ -7,8 +7,10 @@ The state is (g, f, N) with N != n an extended real.  The flow is
 
 integrated in a fixed background gauge by the fixed-step RK4 driver of
 ``integrate`` (step cap, halving and extinction guard are documented
-there).  Every right-hand side computes the base geometry once
-(``diffgeo.base_geometry``).  The monitored
+there).  Each RK stage computes its geometry once (``be_stage``) from raw
+arrays.  An accepted state is validated and factored once, and its stage
+geometry gives both the next step's k1 and the state's monitors, so a step
+costs four geometry passes.  The monitored
 scalars are the density scalar curvature barS = g^{bc} barRic_bc and
 
     tildeS_k = barS + Delta f - (k + 1) |grad f|^2 ,
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import base_geometry, hessian_field
+from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import BlowupTime, DomainError
-from .grids import MetricField, ScalarField, grad, require_same_chart, unchecked
-from .integrate import fixed_step_integrate, rk4_halving
+from .grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
+from .integrate import Accepted, fixed_step_integrate, rk4_halving
 
 DEFAULT_K_VALUES = (0, 1)
 
@@ -70,51 +72,64 @@ class BEMonitors:
     max_grad_f_sq: float
 
 
-def _ingredients(g: MetricField, f: ScalarField):
-    geo = base_geometry(g)
-    hess = hessian_field(f, g, geo)
-    df = grad(f.values, f.chart)
-    lap = np.einsum("...bc,...bc->...", geo.g_inv, hess)
-    grad_sq = np.einsum("...bc,...b,...c->...", geo.g_inv, df, df)
-    return geo.ric, hess, df, geo.g_inv, lap, grad_sq
+def be_stage(chart: PeriodicChart, g: np.ndarray, f: np.ndarray, inv_excess: float,
+             g_inv: np.ndarray) -> tuple:
+    """What the right-hand side and the monitors read at the arrays (g, f), with
+    g^{-1} from the caller: (Ric + Hess f, df, g^{-1}, Delta f, |grad f|^2, 1 / (N - n))."""
+    gamma, ric = base_geometry(chart, g, g_inv)
+    hess = hessian_field(chart, f, gamma)
+    df = grad(f, chart)
+    return (ric + hess, df, g_inv, np.einsum("...bc,...bc->...", g_inv, hess),
+            np.einsum("...bc,...b,...c->...", g_inv, df, df), inv_excess)
 
 
-def be_rhs(s: BEState):
-    """(dg, df) right-hand sides on the grid."""
-    ric, hess, df, _, lap, grad_sq = _ingredients(s.g, s.f)
-    dg = -2.0 * (ric + hess)
-    if s.inv_excess != 0.0:
-        dg = dg + 2.0 * s.inv_excess * np.einsum("...b,...c->...bc", df, df)
+def be_rhs(stage: tuple):
+    """(dg, df) right-hand sides on the grid, from ``be_stage``."""
+    ric_hess, df, _, lap, grad_sq, inv_excess = stage
+    dg = -2.0 * ric_hess
+    if inv_excess != 0.0:
+        dg = dg + 2.0 * inv_excess * np.einsum("...b,...c->...bc", df, df)
     dg = 0.5 * (dg + np.swapaxes(dg, -1, -2))
     return dg, lap - grad_sq
 
 
-def monitors(s: BEState, k_values=DEFAULT_K_VALUES) -> BEMonitors:
-    ric, hess, df, g_inv, lap, grad_sq = _ingredients(s.g, s.f)
-    bar_ric = ric + hess
-    if s.inv_excess != 0.0:
-        bar_ric = bar_ric - s.inv_excess * np.einsum("...b,...c->...bc", df, df)
+def monitors(stage: tuple, k_values=DEFAULT_K_VALUES) -> BEMonitors:
+    bar_ric, df, g_inv, lap, grad_sq, inv_excess = stage
+    if inv_excess != 0.0:
+        bar_ric = bar_ric - inv_excess * np.einsum("...b,...c->...bc", df, df)
     barS = np.einsum("...bc,...bc->...", g_inv, bar_ric)
     tilde = {int(k): barS + lap - (k + 1.0) * grad_sq for k in k_values}
+    # a copy: the record keeps no array of the stage, which is freed whole
     return BEMonitors(
-        barS=barS, tildeS=tilde, grad_f_sq=grad_sq,
+        barS=barS, tildeS=tilde, grad_f_sq=grad_sq.copy(),
         min_tildeS={k: float(np.min(v)) for k, v in tilde.items()},
         max_grad_f_sq=float(np.max(grad_sq)))
 
 
-def be_step(s: BEState, dt: float, max_halvings: int = 20) -> BEState:
-    """One RK4 step; dt is halved while the metric loses positive definiteness,
-    and the returned state carries the time actually advanced."""
-    chart = s.g.chart
+def _accepted(s: BEState, g_inv: np.ndarray, min_eig: float) -> Accepted:
+    return Accepted(s, (min_eig,),
+                    be_stage(s.g.chart, s.g.values, s.f.values, s.inv_excess, g_inv))
+
+
+def be_factor(s: BEState) -> Accepted:
+    """The state factored once, with its stage geometry: what ``be_step`` takes."""
+    return _accepted(s, *spd_factor(s.g.values))
+
+
+def be_step(cur: Accepted, dt: float, max_halvings: int = 20) -> Accepted:
+    """One RK4 step of the density flow, halved as ``rk4_halving`` does."""
+    s = cur.state
+    chart, inv_excess = s.g.chart, s.inv_excess
+    k1 = be_rhs(cur.take_reuse())
 
     def rhs(t, y):
-        return be_rhs(BEState(unchecked(MetricField, chart=chart, values=y[0]),
-                              unchecked(ScalarField, chart=chart, values=y[1]), s.N, t))
+        return be_rhs(be_stage(chart, y[0], y[1], inv_excess, spd_inverse(y[0])))
 
     def accept(t, y):
-        return BEState(MetricField(chart, y[0]), ScalarField(chart, y[1]), s.N, t)
+        g, (g_inv, min_eig) = MetricField.factored(spd_factor, chart, y[0])
+        return _accepted(BEState(g, ScalarField(chart, y[1]), s.N, t), g_inv, min_eig)
 
-    return rk4_halving(rhs, s.t, (s.g.values, s.f.values), dt, accept, max_halvings)
+    return rk4_halving(rhs, s.t, (s.g.values, s.f.values), k1, dt, accept, max_halvings)
 
 
 @dataclass
@@ -135,9 +150,10 @@ def be_integrate(s0: BEState, dt: float, t_end: float, k_values=DEFAULT_K_VALUES
     recording states and their monitors.  The extinction guard watches the
     smallest eigenvalue of g."""
     records, stop_reason = fixed_step_integrate(
-        be_step, s0, lambda s: (s.g.values,), dt, t_end,
+        be_step, be_factor, s0, dt, t_end,
         h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every,
-        extinction_ratio=extinction_ratio, record=lambda s: (s, monitors(s, k_values)))
+        extinction_ratio=extinction_ratio,
+        record=lambda cur: (cur.state, monitors(cur.reuse, k_values)))
     states, mons = (list(x) for x in zip(*records))
     return BETrace(states, mons, stop_reason)
 

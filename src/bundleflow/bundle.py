@@ -17,9 +17,9 @@ each other.
 
 The torus-bundle flow of (g, Q, alpha) on a periodic chart runs on the
 fixed-step RK4 driver of ``integrate`` (step cap, halving and extinction
-guard are documented there).  Each right-hand-side stage computes the base
-geometry once (``diffgeo.base_geometry``) and wraps its trial arrays without
-re-validating them; accepted states are validated as fields.
+guard are documented there).  Each stage computes the base geometry once
+(``diffgeo.base_geometry``) from raw arrays; an accepted state is validated
+and factored once, and its g^{-1} and Q^{-1} give the next step's k1.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import base_geometry, hessian_field, spd_inverse
+from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import DimensionMismatch, DomainError
-from .grids import (ConnectionField, MetricField, QField, ScalarField, deriv,
-                    grad, require_same_chart, second_derivs, unchecked)
-from .integrate import fixed_step_integrate, rk4_halving
+from .grids import (ConnectionField, MetricField, PeriodicChart, QField, ScalarField, deriv,
+                    grad, require_same_chart, second_derivs)
+from .integrate import Accepted, fixed_step_integrate, rk4_halving
 
 BLOCK_SYMMETRY_TOL = 1e-10
 
@@ -254,31 +254,32 @@ def blocks_to_chart(blocks: RicciBlocks, alpha_at: np.ndarray) -> np.ndarray:
 # grid assembly of pointwise data
 # ---------------------------------------------------------------------------
 
-def curvature_from_connection(alpha: ConnectionField) -> np.ndarray:
-    """F^k_bc = d_b a^k_c - d_c a^k_b plus the constant linear-gauge part."""
-    da = grad(alpha.values, alpha.chart)          # (..., b, k, c)
+def curvature_from_connection(chart: PeriodicChart, a: np.ndarray,
+                              linear_curvature: np.ndarray) -> np.ndarray:
+    """F^k_bc = d_b a^k_c - d_c a^k_b of the periodic part a, plus the constant
+    part ``ConnectionField.curvature_linear_part`` of the linear gauge term."""
+    da = grad(a, chart)                            # (..., b, k, c)
     f = np.einsum("...bkc->...kbc", da) - np.einsum("...ckb->...kbc", da)
-    return f + alpha.curvature_linear_part()
+    return f + linear_curvature
 
 
-def bundle_data_from_fields(g: MetricField, Q: QField,
-                            alpha: ConnectionField) -> PointwiseBundleData:
-    """Pointwise data at every grid node by central differencing (torus fibers).
+def bundle_data_from_fields(chart: PeriodicChart, g: np.ndarray, Q: np.ndarray, a: np.ndarray,
+                            linear_curvature: np.ndarray, g_inv: np.ndarray,
+                            Q_inv: np.ndarray) -> PointwiseBundleData:
+    """Pointwise data at every grid node by central differencing (torus fibers),
+    from the arrays of g, Q and the connection (periodic part a and linear-gauge
+    curvature) and the inverses of g and Q.
 
     div F^k_c = g^{ln} (d_n F^k_lc - Gamma^t_nl F^k_tc - Gamma^t_nc F^k_lt) is
     contracted as it is formed, so the covariant derivative of F is never stored.
     """
-    chart = require_same_chart(g, Q, alpha)
-    if Q.q != alpha.q:
-        raise DimensionMismatch("fiber dimensions of Q and the connection differ")
-    d, q, batch = chart.dims, Q.q, chart.resolution
-    geo = base_geometry(g)
-    g_inv, gamma = geo.g_inv, geo.gamma
-    DQ = grad(Q.values, chart)
+    d, q, batch = chart.dims, Q.shape[-1], chart.resolution
+    gamma, ric_base = base_geometry(chart, g, g_inv)
+    DQ = grad(Q, chart)
     gamma_dq = (np.swapaxes(gamma.reshape(batch + (d, d * d)), -1, -2)
                 @ DQ.reshape(batch + (d, q * q)))           # Gamma^t_bc D_t Q_jk
-    DDQ = second_derivs(Q.values, chart) - gamma_dq.reshape(batch + (d, d, q, q))
-    F = curvature_from_connection(alpha)
+    DDQ = second_derivs(Q, chart) - gamma_dq.reshape(batch + (d, d, q, q))
+    F = curvature_from_connection(chart, a, linear_curvature)
     # g^{nl} Gamma^t_nl, [t, 1], and g^{ln} Gamma^t_nc, [l, (t, c)]
     gamma_tr = gamma.reshape(batch + (d, d * d)) @ g_inv.reshape(batch + (d * d, 1))
     g_gamma = g_inv @ np.swapaxes(gamma, -3, -2).reshape(batch + (d, d * d))
@@ -286,11 +287,10 @@ def bundle_data_from_fields(g: MetricField, Q: QField,
             - (np.swapaxes(F, -1, -2) @ gamma_tr[..., None, :, :])[..., 0]
             - F.reshape(batch + (q, d * d)) @ g_gamma.reshape(batch + (d * d, d)))
     return PointwiseBundleData(
-        g=g.values, g_inv=g_inv, gamma=gamma,
-        Q=Q.values, Q_inv=spd_inverse(Q.values),
+        g=g, g_inv=g_inv, gamma=gamma, Q=Q, Q_inv=Q_inv,
         DQ=DQ, DDQ=DDQ, F=F, divF=divF,
-        c=StructureConstants.abelian(Q.q),
-        ric_base=geo.ric, ric_fiber_alg=np.zeros_like(Q.values))
+        c=StructureConstants.abelian(q),
+        ric_base=ric_base, ric_fiber_alg=np.zeros_like(Q))
 
 
 def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBundleData:
@@ -302,9 +302,10 @@ def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBund
     right-hand side built from the same stencils.
     """
     chart = require_same_chart(g, f)
-    geo = base_geometry(g)
+    g_inv = spd_inverse(g.values)
+    gamma, ric = base_geometry(chart, g.values, g_inv)
     df = grad(f.values, chart)
-    hess = hessian_field(f, g, geo)
+    hess = hessian_field(chart, f.values, gamma)
     e = np.exp(-2.0 * f.values / q)
     eye = np.eye(q)
     shape_grid = f.values.shape
@@ -315,12 +316,12 @@ def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBund
     DDQ = (e[..., None, None] * ddfac)[..., None, None] * eye
     d = chart.dims
     return PointwiseBundleData(
-        g=g.values, g_inv=geo.g_inv, gamma=geo.gamma,
+        g=g.values, g_inv=g_inv, gamma=gamma,
         Q=Qv, Q_inv=(1.0 / e)[..., None, None] * eye,
         DQ=DQ, DDQ=DDQ,
         F=np.zeros(shape_grid + (q, d, d)), divF=np.zeros(shape_grid + (q, d)),
         c=StructureConstants.abelian(q),
-        ric_base=geo.ric, ric_fiber_alg=np.zeros(shape_grid + (q, q)))
+        ric_base=ric, ric_fiber_alg=np.zeros(shape_grid + (q, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +377,6 @@ def flow_rhs_from_data(d: PointwiseBundleData):
     return dg, dQ_dot, dalpha
 
 
-def flow_rhs_torus(g: MetricField, Q: QField, alpha: ConnectionField):
-    """Grid right-hand sides for (g, Q, alpha); dalpha applies to the periodic part."""
-    return flow_rhs_from_data(bundle_data_from_fields(g, Q, alpha))
-
-
 @dataclass(frozen=True)
 class BundleState:
     g: MetricField
@@ -389,22 +385,37 @@ class BundleState:
     t: float
 
 
-def _bundle_step(s: BundleState, dt: float, max_halvings: int) -> BundleState:
-    """One RK4 step of the torus-bundle flow, halved while g or Q loses definiteness."""
+@dataclass(frozen=True)
+class BundleRecord(BundleState):
+    """A recorded state and the smallest eigenvalues of g and Q over the grid."""
+
+    min_eig_g: float
+    min_eig_q: float
+
+
+def _accepted(s: BundleState, g_factor, q_factor) -> Accepted:
+    return Accepted(s, (g_factor[1], q_factor[1]), (g_factor[0], q_factor[0]))
+
+
+def _bundle_step(cur: Accepted, dt: float, max_halvings: int) -> Accepted:
+    """One RK4 step of the torus-bundle flow, halved as ``rk4_halving`` does."""
+    s = cur.state
     chart, q, q_a, linear = s.g.chart, s.Q.q, s.alpha.q, s.alpha.linear
+    lin = s.alpha.curvature_linear_part()
 
     def rhs(t, y):
-        return flow_rhs_torus(unchecked(MetricField, chart=chart, values=y[0]),
-                              unchecked(QField, chart=chart, q=q, values=y[1]),
-                              unchecked(ConnectionField, chart=chart, q=q_a,
-                                        values=y[2], linear=linear))
+        return flow_rhs_from_data(bundle_data_from_fields(
+            chart, *y, lin, spd_inverse(y[0]), spd_inverse(y[1])))
 
     def accept(t, y):
-        return BundleState(MetricField(chart, y[0]), QField(chart, q, y[1]),
-                           ConnectionField(chart, q_a, y[2], linear), t)
+        g, g_factor = MetricField.factored(spd_factor, chart, y[0])
+        Q, q_factor = QField.factored(spd_factor, chart, q, y[1])
+        return _accepted(BundleState(g, Q, ConnectionField(chart, q_a, y[2], linear), t),
+                         g_factor, q_factor)
 
-    return rk4_halving(rhs, s.t, (s.g.values, s.Q.values, s.alpha.values), dt, accept,
-                       max_halvings)
+    y = (s.g.values, s.Q.values, s.alpha.values)
+    k1 = flow_rhs_from_data(bundle_data_from_fields(chart, *y, lin, *cur.take_reuse()))
+    return rk4_halving(rhs, s.t, y, k1, dt, accept, max_halvings)
 
 
 def bundle_integrate(state0: BundleState, dt: float, t_end: float,
@@ -412,10 +423,16 @@ def bundle_integrate(state0: BundleState, dt: float, t_end: float,
                      extinction_ratio: float = 1e-6, max_halvings: int = 20):
     """Integrate the torus-bundle flow on a periodic chart with
     ``integrate.fixed_step_integrate``.  The extinction guard watches the
-    smallest eigenvalues of g and of Q.  Returns (states, stop_reason).
+    smallest eigenvalues of g and of Q.  Returns (records, stop_reason), each
+    record a ``BundleRecord``.
     """
     chart = require_same_chart(state0.g, state0.Q, state0.alpha)
+    if state0.Q.q != state0.alpha.q:
+        raise DimensionMismatch("fiber dimensions of Q and the connection differ")
     return fixed_step_integrate(
-        _bundle_step, state0, lambda s: (s.g.values, s.Q.values), dt, t_end,
+        _bundle_step, lambda s: _accepted(s, spd_factor(s.g.values), spd_factor(s.Q.values)),
+        state0, dt, t_end,
         h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every,
-        extinction_ratio=extinction_ratio, max_halvings=max_halvings)
+        extinction_ratio=extinction_ratio, max_halvings=max_halvings,
+        record=lambda c: BundleRecord(c.state.g, c.state.Q, c.state.alpha, c.state.t,
+                                      *c.min_eigs))

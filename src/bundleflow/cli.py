@@ -307,8 +307,8 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
         "t": np.array([s.t for s in states]),
         "g_xx_origin": np.array([s.g.values[origin] for s in states]),
         "q_origin": np.array([s.Q.values[origin] for s in states]),
-        "min_eig_g": np.array([float(np.min(np.linalg.eigvalsh(s.g.values))) for s in states]),
-        "min_eig_q": np.array([float(np.min(np.linalg.eigvalsh(s.Q.values))) for s in states]),
+        "min_eig_g": np.array([s.min_eig_g for s in states]),
+        "min_eig_q": np.array([s.min_eig_q for s in states]),
     }
     meta = {"command": "flow-bundle", "geometry": geometry, "stop_reason": stop,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True),

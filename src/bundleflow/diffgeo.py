@@ -13,7 +13,8 @@ Two evaluation paths share the same index algebra:
 
 * grid fields — the same operators vectorized over all nodes of a
   ``PeriodicChart`` with the grid spacing as the step (``base_geometry``
-  and the ``*_field`` functions).
+  and the ``*_field`` functions), on the chart and raw arrays with g^{-1}
+  from the caller, since a stage holds unvalidated trial arrays.
 
 Index conventions: ``christoffel`` returns ``G[l, b, c] = Gamma^l_{bc}``
 (upper index first), ``ricci`` returns the symmetrized ``Ric_{bc}`` built
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMetric
-from .grids import MetricField, ScalarField, deriv, grad, require_same_chart, second_derivs
+from .grids import PeriodicChart, deriv, grad, second_derivs
 
 DEFAULT_ORACLE_STEP = 1e-3
 CONDITION_CAP = 1e12
@@ -52,7 +53,13 @@ class CoordinateMetric:
 
 
 def spd_inverse(g: np.ndarray, cap: float = CONDITION_CAP) -> np.ndarray:
-    """Inverse of an SPD matrix (or stack of them) through its Cholesky factor.
+    """Inverse of an SPD matrix (or stack of them); see ``spd_factor``."""
+    return spd_factor(g, cap)[0]
+
+
+def spd_factor(g: np.ndarray, cap: float = CONDITION_CAP) -> tuple[np.ndarray, float]:
+    """Inverse of an SPD matrix (or stack) through its Cholesky factor, and the
+    smallest eigenvalue over the stack.
 
     Raises SingularMetric if, at any node of the stack, the matrix has a
     non-finite entry, is not positive definite, or has an eigenvalue ratio
@@ -68,11 +75,11 @@ def spd_inverse(g: np.ndarray, cap: float = CONDITION_CAP) -> np.ndarray:
     if not np.all((wmin > 0.0) & (wmax / cap <= wmin) & np.isfinite(wmax)):
         raise SingularMetric(_rejection(g, cap))
     low_inv = np.linalg.inv(low)
-    return np.swapaxes(low_inv, -1, -2) @ low_inv
+    return np.swapaxes(low_inv, -1, -2) @ low_inv, float(np.min(wmin))
 
 
 def _rejection(g: np.ndarray, cap: float) -> str:
-    """Why ``spd_inverse`` rejects g, naming the first node that is not
+    """Why ``spd_factor`` rejects g, naming the first node that is not
     finite, not positive definite or above the cap."""
     for node in np.ndindex(g.shape[:-2]):
         where = f" at node {node}" if node else ""
@@ -153,30 +160,16 @@ def ricci(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
 # grid-field path (vectorized over all nodes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseGeometry:
-    """Inverse, Christoffel symbols and Ricci tensor of a grid metric: the base
-    geometry a right-hand-side stage needs, computed once per stage."""
-
-    g_inv: np.ndarray
-    gamma: np.ndarray
-    ric: np.ndarray
+def christoffel_field(chart: PeriodicChart, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols at every node of the metric array g with inverse g_inv."""
+    return _christoffel_from_dg(g_inv, grad(g, chart))
 
 
-def christoffel_field(m: MetricField, g_inv: np.ndarray | None = None) -> np.ndarray:
-    if g_inv is None:
-        g_inv = spd_inverse(m.values)
-    dg = grad(m.values, m.chart)
-    return _christoffel_from_dg(g_inv, dg)
-
-
-def ricci_field_with_defect(m: MetricField, gamma: np.ndarray | None = None):
-    """Ricci at every node without stacking dGamma: d_l Gamma^l_bc differences
-    one (d, d) slice per axis, d_b Gamma^l_lc differences the trace vector, and
-    Gamma^l_bn Gamma^n_lc is one matmul over the flattened (l, n) pair."""
-    if gamma is None:
-        gamma = christoffel_field(m)
-    chart = m.chart
+def ricci_field_with_defect(chart: PeriodicChart, gamma: np.ndarray):
+    """Ricci at every node from the Christoffel field, without stacking dGamma:
+    d_l Gamma^l_bc differences one (d, d) slice per axis, d_b Gamma^l_lc
+    differences the trace vector, and Gamma^l_bn Gamma^n_lc is one matmul over
+    the flattened (l, n) pair."""
     d = chart.dims
     trace = np.trace(gamma, axis1=-3, axis2=-2)             # Gamma^l_lc, [c]
     gamma_t = np.swapaxes(gamma, -3, -2).copy()             # [b, l, n] = Gamma^l_bn
@@ -189,45 +182,13 @@ def ricci_field_with_defect(m: MetricField, gamma: np.ndarray | None = None):
     return _symmetrized_with_defect(ric)
 
 
-def base_geometry(m: MetricField) -> BaseGeometry:
-    """One pass over the metric: a single ``spd_inverse`` (which raises
-    SingularMetric for a metric that lost definiteness) and a single
-    Christoffel field, from which the Ricci tensor is differenced."""
-    g_inv = spd_inverse(m.values)
-    gamma = christoffel_field(m, g_inv)
-    return BaseGeometry(g_inv, gamma, ricci_field_with_defect(m, gamma)[0])
+def base_geometry(chart: PeriodicChart, g: np.ndarray, g_inv: np.ndarray):
+    """(Gamma, Ric) of the metric array g, whose inverse the caller factored: the
+    base geometry of one stage, a single Christoffel field differenced to Ricci."""
+    gamma = christoffel_field(chart, g, g_inv)
+    return gamma, ricci_field_with_defect(chart, gamma)[0]
 
 
-# ---------------------------------------------------------------------------
-# scalar calculus on grid fields
-# ---------------------------------------------------------------------------
-
-def hessian_field(f: ScalarField, m: MetricField,
-                  geo: BaseGeometry | None = None) -> np.ndarray:
+def hessian_field(chart: PeriodicChart, f: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Hess f_{bc} = d_b d_c f - Gamma^l_{bc} d_l f at every node."""
-    require_same_chart(f, m)
-    gamma = christoffel_field(m) if geo is None else geo.gamma
-    ddf = second_derivs(f.values, f.chart)
-    df = grad(f.values, f.chart)
-    return ddf - np.einsum("...lbc,...l->...bc", gamma, df)
-
-
-def laplacian_field(f: ScalarField, m: MetricField) -> np.ndarray:
-    g_inv = spd_inverse(m.values)
-    return np.einsum("...bc,...bc->...", g_inv, hessian_field(f, m))
-
-
-def grad_norm_sq_field(f: ScalarField, m: MetricField) -> np.ndarray:
-    require_same_chart(f, m)
-    g_inv = spd_inverse(m.values)
-    df = grad(f.values, f.chart)
-    return np.einsum("...bc,...b,...c->...", g_inv, df, df)
-
-
-def drift_laplacian_field(f: ScalarField, u: ScalarField, m: MetricField) -> np.ndarray:
-    """Drift Laplacian of u with density f: Delta u - g^{bc} d_b f d_c u."""
-    require_same_chart(f, u, m)
-    g_inv = spd_inverse(m.values)
-    df = grad(f.values, f.chart)
-    du = grad(u.values, u.chart)
-    return laplacian_field(u, m) - np.einsum("...bc,...b,...c->...", g_inv, df, du)
+    return second_derivs(f, chart) - np.einsum("...lbc,...l->...bc", gamma, grad(f, chart))

@@ -4,11 +4,13 @@ All grid data lives on a rectangular chart with periodic wrap-around in
 every axis.  Arrays store the grid axes first and tensor component axes
 last, so einsum expressions can use an ellipsis for the grid part.
 Derivatives are plain second-order central differences.
+Fields validate their values where they enter; integrator stages pass raw
+arrays, and a flow builds an accepted step's metrics with ``factored``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -82,19 +84,6 @@ def require_same_chart(*fields) -> PeriodicChart:
     return chart
 
 
-def unchecked(cls, **attrs):
-    """A field object built without running its validation.
-
-    Integrator stages wrap their trial arrays this way: the state a step
-    starts from was validated, the accepted result is validated again, and
-    ``spd_inverse`` still rejects a stage metric that lost definiteness.
-    """
-    obj = object.__new__(cls)
-    for name, value in attrs.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar sampled at the chart nodes."""
@@ -112,52 +101,63 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-def _check_spd_grid(values: np.ndarray, what: str) -> np.ndarray:
-    """Validate symmetry, enforce it exactly, and check positive definiteness."""
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{what} contains non-finite values")
-    sym = 0.5 * (values + np.swapaxes(values, -1, -2))
-    if np.max(np.abs(values - sym)) > 1e-12 * (1.0 + np.max(np.abs(values))):
-        raise DomainError(f"{what} is not symmetric")
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"{what} is not positive definite everywhere") from exc
-    return sym
+class _SPDGrid:
+    """MetricField and QField values: finite, symmetric to 1e-12 and positive
+    definite at every node, stored exactly symmetrized (the one copy made)."""
+
+    def __post_init__(self, factor=np.linalg.cholesky):
+        v = np.asarray(self.values, dtype=float)
+        shape = self.chart.resolution + (self._rank,) * 2
+        if v.shape != shape:
+            raise DimensionMismatch(f"{self._what} shape {v.shape} incompatible with the "
+                                    f"chart, want {shape}")
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"{self._what} contains non-finite values")
+        sym = v + np.swapaxes(v, -1, -2)
+        sym *= 0.5
+        if np.max(np.abs(v - sym)) > 1e-12 * (1.0 + np.max(np.abs(v))):
+            raise DomainError(f"{self._what} is not symmetric")
+        sym.setflags(write=False)
+        object.__setattr__(self, "values", sym)
+        try:
+            return factor(sym)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetric(f"{self._what} is not positive definite everywhere") from exc
+
+    @classmethod
+    def factored(cls, factor, *args):
+        """``cls(*args)`` and ``factor(values)``, with ``factor`` (``spd_factor``)
+        in place of the bare Cholesky: how a flow accepts a step."""
+        field = object.__new__(cls)
+        for spec, value in zip(fields(cls), args):
+            object.__setattr__(field, spec.name, value)
+        return field, field.__post_init__(factor)
 
 
 @dataclass(frozen=True)
-class MetricField:
+class MetricField(_SPDGrid):
     """Symmetric positive-definite dims x dims matrix at every node."""
 
     chart: PeriodicChart
     values: np.ndarray
-
-    def __post_init__(self):
-        d = self.chart.dims
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.chart.resolution + (d, d):
-            raise DimensionMismatch(f"metric values shape {v.shape} incompatible with chart")
-        object.__setattr__(self, "values", _freeze(_check_spd_grid(v, "metric field")))
+    _what = "metric field"
 
     @property
     def dims(self) -> int:
         return self.chart.dims
 
+    _rank = dims
+
 
 @dataclass(frozen=True)
-class QField:
+class QField(_SPDGrid):
     """Fiber metric: symmetric positive-definite q x q matrix at every node."""
 
     chart: PeriodicChart
     q: int
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.chart.resolution + (self.q, self.q):
-            raise DimensionMismatch(f"fiber metric shape {v.shape} incompatible with chart/q")
-        object.__setattr__(self, "values", _freeze(_check_spd_grid(v, "fiber metric")))
+    _what = "fiber metric"
+    _rank = property(lambda self: self.q)
 
 
 @dataclass(frozen=True)

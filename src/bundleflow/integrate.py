@@ -1,15 +1,20 @@
 """Explicit Runge-Kutta machinery shared by every flow integrator.
 
 ``fixed_step_integrate`` is the one driver of both grid flows (the density
-flow and the torus-bundle flow).  Each step is classical RK4 on a tuple of
-arrays (``rk4_step``), capped at c_cfl * h_min^2 * lambda_min(g).  A step
-whose stages or result lose positive definiteness (``SingularMetric`` or
-``LinAlgError``) is halved and retried, up to ``max_halvings`` times, then
-``StepRejected`` is raised.  After every accepted step the smallest
-eigenvalue of each positive-definite array is compared with
-``extinction_ratio`` times its initial value; at or below it the crossing
-state is recorded and the run stops with "ExtinctionGuard".  Otherwise every
-``record_every``-th state and the final one are recorded.
+flow and the torus-bundle flow).  Each state it accepts is symmetrized,
+validated and factored exactly once (Cholesky, eigenvalues, condition cap);
+the exact smallest eigenvalues cap the step at c_cfl * h_min^2 *
+lambda_min(g) and feed the extinction guard, and the factorization gives the
+next step's first stage k1 (first same as last, like ``adaptive_rk``'s
+``k_first``).  Each step is classical RK4 on a tuple of arrays
+(``rk4_step``).  A step whose later stages or result are not positive
+definite or exceed the condition cap (``SingularMetric`` or
+``LinAlgError``) is halved and retried from the same k1, up to
+``max_halvings`` times, then ``StepRejected`` is raised.  After every
+accepted step the smallest eigenvalue of each positive-definite array is
+compared with ``extinction_ratio`` times its initial value; at or below it
+the crossing state is recorded and the run stops with "ExtinctionGuard".
+Otherwise every ``record_every``-th state and the final one are recorded.
 
 ``adaptive_rk`` is a Dormand-Prince 5(4) embedded pair with a PI step-size
 controller.  Steps are clamped to requested sample times (if any), every
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,12 +50,12 @@ MIN_STEP = 1e-14
 MAX_STEPS = 2_000_000
 
 
-def rk4_step(f: Callable, t: float, y: tuple, dt: float) -> tuple:
-    """One classical fourth-order step of y' = f(t, y) for a tuple of arrays y."""
+def rk4_step(f: Callable, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
+    """One classical fourth-order step of y' = f(t, y) for a tuple of arrays y,
+    from its first stage k1 = f(t, y)."""
     def shifted(k, c):
         return tuple(yi + c * ki for yi, ki in zip(y, k))
 
-    k1 = f(t, y)
     k2 = f(t + 0.5 * dt, shifted(k1, 0.5 * dt))
     k3 = f(t + 0.5 * dt, shifted(k2, 0.5 * dt))
     k4 = f(t + dt, shifted(k3, dt))
@@ -58,56 +63,66 @@ def rk4_step(f: Callable, t: float, y: tuple, dt: float) -> tuple:
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
-def rk4_halving(f: Callable, t: float, y: tuple, dt: float,
+def rk4_halving(f: Callable, t: float, y: tuple, k1: tuple, dt: float,
                 accept: Callable, max_halvings: int = 20):
-    """One RK4 step, halving dt while a stage or the result is not positive definite.
+    """One RK4 step from y and its first stage k1, halving dt while a later
+    stage or the result is rejected; every retry reuses k1.
 
-    ``accept(t_new, y_new)`` validates the new arrays and returns them as the
-    caller's state object.  Returns that object; raises StepRejected after
-    ``max_halvings`` halvings.
+    ``accept(t_new, y_new)`` validates and factors the new arrays and returns
+    the caller's next ``Accepted``.  It rejects a result that is not positive
+    definite or is above the condition cap, so such a step is halved, not
+    accepted.  Raises StepRejected after ``max_halvings`` halvings.
     """
     for _ in range(max_halvings + 1):
         try:
-            return accept(t + dt, rk4_step(f, t, y, dt))
+            return accept(t + dt, rk4_step(f, t, y, dt, k1))
         except (SingularMetric, np.linalg.LinAlgError):
             dt *= 0.5
     raise StepRejected(f"step kept failing after {max_halvings} halvings at t={t:g}")
 
 
-def _min_eig(values: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(values)))
+@dataclass
+class Accepted:
+    """An accepted state, the smallest eigenvalue over the grid of each of its
+    SPD arrays (base metric first), and what the next step's k1 reuses.  The
+    step takes ``reuse`` away, so it is freed once k1 is formed."""
+
+    state: Any
+    min_eigs: tuple
+    reuse: Any
+
+    def take_reuse(self):
+        reuse, self.reuse = self.reuse, None
+        return reuse
 
 
-def fixed_step_integrate(step: Callable, state0, spd: Callable, dt: float, t_end: float,
+def fixed_step_integrate(step: Callable, factor: Callable, state0, dt: float, t_end: float,
                          h_min: float, c_cfl: float, record_every: int,
                          extinction_ratio: float, max_halvings: int = 20,
-                         record: Callable = lambda s: s):
-    """Drive ``step(state, dt, max_halvings) -> state`` from ``state0.t`` to t_end.
+                         record: Callable = lambda cur: cur.state):
+    """Drive ``step(current, dt, max_halvings) -> current`` from ``state0.t`` to t_end.
 
-    ``spd(state)`` returns the state's positive-definite arrays, base metric
-    first; they set the step cap and the extinction guard (module docstring).
-    ``record(state)`` is what gets stored for each recorded state.  Returns
-    (records, stop_reason); records[0] is ``record(state0)``.
+    The current state is an ``Accepted``: ``factor(state0)`` makes the first,
+    ``step`` each next one.  ``record(current)`` is stored for each recorded
+    state; it must not keep ``reuse``.  Returns (records, stop_reason).
     """
     if (not (dt > 0 and t_end > state0.t and c_cfl > 0)
             or not isinstance(record_every, Integral) or record_every < 1):
         raise DomainError(
             "need dt > 0, t_end > start time, c_cfl > 0 and an integer record_every >= 1, "
             f"got dt={dt!r}, t_end={t_end!r}, c_cfl={c_cfl!r}, record_every={record_every!r}")
-    min_eigs = [_min_eig(a) for a in spd(state0)]
-    guards = [extinction_ratio * m for m in min_eigs]
-    records = [record(state0)]
-    s = state0
+    cur = factor(state0)
+    guards = [extinction_ratio * m for m in cur.min_eigs]
+    records = [record(cur)]
     stop_reason = "Horizon"
     step_index = 0
-    while s.t < t_end - MIN_STEP:
-        cap = c_cfl * h_min * h_min * max(min_eigs[0], 1e-300)
-        s = step(s, min(dt, cap, t_end - s.t), max_halvings)
+    while cur.state.t < t_end - MIN_STEP:
+        cap = c_cfl * h_min * h_min * max(cur.min_eigs[0], 1e-300)
+        cur = step(cur, min(dt, cap, t_end - cur.state.t), max_halvings)
         step_index += 1
-        min_eigs = [_min_eig(a) for a in spd(s)]
-        crossed = any(m <= g for m, g in zip(min_eigs, guards))
-        if crossed or step_index % record_every == 0 or s.t >= t_end - MIN_STEP:
-            records.append(record(s))
+        crossed = any(m <= g for m, g in zip(cur.min_eigs, guards))
+        if crossed or step_index % record_every == 0 or cur.state.t >= t_end - MIN_STEP:
+            records.append(record(cur))
         if crossed:
             stop_reason = "ExtinctionGuard"
             break

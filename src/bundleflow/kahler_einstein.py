@@ -22,8 +22,6 @@ conserved combination b^4/a^4 - b^3/a^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import DomainError, LambdaZero, NegativeBase
@@ -218,23 +216,8 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
     return ReducedTrace(p, res.t, res.y[:, 0], res.y[:, 1], res.stop_reason)
 
 
-def lauret_integrate(l0: LauretState, t_end: float, tol: float = 1e-9,
-                     stop_b_above: Optional[float] = None, t_eval=None):
-    """Integrate the (a, b) system; optionally stop once b exceeds a threshold.
-
-    Returns (t, a, b, stop_reason).  ``stop_b_above`` expresses the collapse
-    guard u <= c u0 in the (a, b) variables (b = lambda / u grows without
-    bound on collapsing trajectories).
-    """
-
-    def rhs(t, y):
-        return np.array(lauret_rhs(*y))
-
-    def stop(t, y):
-        if stop_b_above is not None and abs(y[1]) >= stop_b_above:
-            return "CollapseGuard"
-        return None
-
-    res = adaptive_rk(rhs, l0.t, (l0.a, l0.b), t_end, rtol=tol, atol=tol * 1e-3,
-                      stop=stop, t_eval=t_eval)
+def lauret_integrate(l0: LauretState, t_end: float, tol: float = 1e-9, t_eval=None):
+    """Integrate the (a, b) system; returns (t, a, b, stop_reason)."""
+    res = adaptive_rk(lambda t, y: np.array(lauret_rhs(*y)), l0.t, (l0.a, l0.b), t_end,
+                      rtol=tol, atol=tol * 1e-3, t_eval=t_eval)
     return res.t, res.y[:, 0], res.y[:, 1], res.stop_reason

@@ -421,7 +421,7 @@ def check_warped_product() -> CheckResult:
         g = MetricField(chart, g_vals)
         f = ScalarField(chart, f_vals)
         state = be.BEState(g, f, N=2 + q)
-        dg_be, df_be = be.be_rhs(state)
+        dg_be, df_be = be.be_rhs(be.be_factor(state).reuse)
         data = warped_product_data(g, f, q)
         dg_fl, dq_fl, _ = flow_rhs_from_data(data)
         df_fl = -(q / 2.0) * dq_fl[..., 0, 0] / data.Q[..., 0, 0]

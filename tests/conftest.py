@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
+from bundleflow import diffgeo
+from bundleflow.bundle import bundle_data_from_fields
 from bundleflow.grids import ConnectionField, MetricField, PeriodicChart, QField
+
+
+@pytest.fixture
+def grid_data():
+    """``bundle_data_from_fields`` on fields (g, Q, alpha), inverting g and Q afresh."""
+    def build(g, q, alpha):
+        return bundle_data_from_fields(g.chart, g.values, q.values, alpha.values,
+                                       alpha.curvature_linear_part(),
+                                       diffgeo.spd_inverse(g.values),
+                                       diffgeo.spd_inverse(q.values))
+    return build
 
 
 @pytest.fixture

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from bundleflow.bakry_emery import (BEState, be_integrate, be_rhs, be_step,
+from bundleflow.bakry_emery import (BEState, be_factor, be_integrate, be_rhs, be_step,
                                     gradient_bound, monitors)
-from bundleflow.diffgeo import ricci_field_with_defect
+from bundleflow.diffgeo import christoffel_field, ricci_field_with_defect, spd_inverse
 from bundleflow.errors import BlowupTime, DomainError
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField
+from scalar_reference import drift_laplacian_field, grad_norm_sq_field, laplacian_field
 
 
 def flat_setup(res=48, L=2.0 * np.pi, amp=0.0):
@@ -30,13 +31,14 @@ class TestRicciFN:
         gv[..., 1, 1] = 1.0 + 0.1 * np.cos(x)
         g = MetricField(chart, gv)
         f = ScalarField(chart, np.full(chart.resolution, 0.7))
-        dg, _ = be_rhs(BEState(g, f, 5))
-        ric, _ = ricci_field_with_defect(g)
+        dg, _ = be_rhs(be_factor(BEState(g, f, 5)).reuse)
+        ric, _ = ricci_field_with_defect(
+            chart, christoffel_field(chart, g.values, spd_inverse(g.values)))
         assert np.max(np.abs(dg + 2.0 * ric)) < 1e-12
 
     def test_flat_infinite_N_is_hessian(self):
         chart, g, f, x = flat_setup(amp=0.3, L=2 * np.pi, res=96)
-        out = -0.5 * be_rhs(BEState(g, f, np.inf))[0]
+        out = -0.5 * be_rhs(be_factor(BEState(g, f, np.inf)).reuse)[0]
         # Hess f of 0.3 sin(x): diag(-0.3 sin x, 0)
         assert np.max(np.abs(out[..., 0, 0] + 0.3 * np.sin(x))) < 5e-4
         assert np.max(np.abs(out[..., 1, 1])) < 5e-4
@@ -44,7 +46,8 @@ class TestRicciFN:
     def test_finite_N_subtracts_gradient_square(self):
         chart, g, f, x = flat_setup(amp=0.3, res=96)
         n = 2
-        diff = -0.5 * (be_rhs(BEState(g, f, n + 2))[0] - be_rhs(BEState(g, f, np.inf))[0])
+        diff = -0.5 * (be_rhs(be_factor(BEState(g, f, n + 2)).reuse)[0]
+                       - be_rhs(be_factor(BEState(g, f, np.inf)).reuse)[0])
         expected = -0.5 * (0.3 * np.cos(x)) ** 2
         assert np.max(np.abs(diff[..., 0, 0] - expected)) < 5e-4
         assert np.max(np.abs(diff[..., 1, 1])) < 1e-12
@@ -58,7 +61,7 @@ class TestRicciFN:
 class TestBeRhs:
     def test_flat_fixed_point(self):
         _, g, f, _ = flat_setup(amp=0.0)
-        dg, df = be_rhs(BEState(g, f, np.inf))
+        dg, df = be_rhs(be_factor(BEState(g, f, np.inf)).reuse)
         assert np.max(np.abs(dg)) < 1e-12
         assert np.max(np.abs(df)) < 1e-12
 
@@ -72,17 +75,15 @@ class TestBeRhs:
         g_vals[..., 1, 1] = np.sin(theta) ** 2
         g = MetricField(chart, g_vals)
         f = ScalarField(chart, np.zeros(chart.resolution))
-        dg, df = be_rhs(BEState(g, f, np.inf))
+        dg, df = be_rhs(be_factor(BEState(g, f, np.inf)).reuse)
         interior = slice(4, -4)
         err = np.max(np.abs(dg[interior] + 2.0 * g_vals[interior]))
         assert err < 5e-3
         assert np.max(np.abs(df[interior])) < 1e-10
 
     def test_drift_equals_two_printed_forms(self):
-        from bundleflow.diffgeo import (drift_laplacian_field, grad_norm_sq_field,
-                                        laplacian_field)
         _, g, f, _ = flat_setup(amp=0.2)
-        _, df_dot = be_rhs(BEState(g, f, 5))
+        _, df_dot = be_rhs(be_factor(BEState(g, f, 5)).reuse)
         assert np.max(np.abs(df_dot - drift_laplacian_field(f, f, g))) < 1e-12
         explicit = laplacian_field(f, g) - grad_norm_sq_field(f, g)
         assert np.max(np.abs(df_dot - explicit)) < 1e-12
@@ -92,8 +93,7 @@ class TestMonitors:
     def test_definitional_recomputation(self):
         _, g, f, _ = flat_setup(amp=0.15)
         state = BEState(g, f, 6)
-        mon = monitors(state, k_values=(0, 1, 3))
-        from bundleflow.diffgeo import laplacian_field
+        mon = monitors(be_factor(state).reuse, k_values=(0, 1, 3))
         lap = laplacian_field(f, g)
         for k, field in mon.tildeS.items():
             rebuilt = mon.barS + lap - (k + 1) * mon.grad_f_sq
@@ -102,7 +102,7 @@ class TestMonitors:
     def test_scalar_curvature_case_flat(self):
         # on a flat chart with density: barS = lap f - |grad f|^2 / (N - n)
         _, g, f, x = flat_setup(amp=0.3, res=96)
-        mon = monitors(BEState(g, f, np.inf), k_values=(0,))
+        mon = monitors(be_factor(BEState(g, f, np.inf)).reuse, k_values=(0,))
         expected = -0.3 * np.sin(x)
         assert np.max(np.abs(mon.barS - expected)) < 5e-4
 
@@ -149,6 +149,6 @@ class TestBeStep:
     def test_single_step_matches_integrate(self):
         _, g, f, _ = flat_setup(res=16, amp=0.05)
         s0 = BEState(g, f, 5)
-        s1 = be_step(s0, 1e-3)
+        s1 = be_step(be_factor(s0), 1e-3).state
         assert s1.t == pytest.approx(1e-3)
         assert np.max(np.abs(s1.f.values - f.values)) > 0.0

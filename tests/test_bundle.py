@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleflow.bundle import (BundleState, PointwiseBundleData, StructureConstants,
-                               blocks_to_chart, bundle_data_from_fields,
-                               bundle_integrate, curvature_from_connection,
-                               flow_rhs_from_data, flow_rhs_torus, lie_group_ricci,
+                               blocks_to_chart, bundle_integrate, curvature_from_connection,
+                               flow_rhs_from_data, lie_group_ricci,
                                ricci_blocks_general, ricci_blocks_torus,
                                warped_product_data)
 from bundleflow.catalog import (heisenberg_bundle_fields, heisenberg_pointwise_data,
@@ -229,7 +228,7 @@ class TestTwistedCircleBundleOracle:
         assert np.max(np.abs(oracle - expected)) < 2e-5
         assert abs(blocks.mixed[0, 1] - 0.5 * np.sin(x)) < 1e-14
 
-    def test_grid_assembly_matches_analytic_data(self):
+    def test_grid_assembly_matches_analytic_data(self, grid_data):
         chart = PeriodicChart((2 * np.pi, 2 * np.pi), (64, 64))
         xs = chart.grid_coords()[..., 0]
         g = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
@@ -237,7 +236,7 @@ class TestTwistedCircleBundleOracle:
         av = np.zeros(chart.resolution + (1, 2))
         av[..., 0, 1] = np.sin(xs)
         alpha = ConnectionField(chart, 1, av)
-        grid = bundle_data_from_fields(g, q, alpha)
+        grid = grid_data(g, q, alpha)
         i = 7
         x = chart.axis_coords(0)[i]
         exact = self.analytic_data(x)
@@ -309,15 +308,15 @@ class TestNonUnimodularFiberOracle:
 
 
 class TestFlowRhs:
-    def test_fixed_point(self):
+    def test_fixed_point(self, grid_data):
         g, q, a = heisenberg_bundle_fields(1, 1.0)
         flat_a = ConnectionField(a.chart, 1, np.zeros(a.values.shape))
-        dg, dq, da = flow_rhs_torus(g, q, flat_a)
+        dg, dq, da = flow_rhs_from_data(grid_data(g, q, flat_a))
         assert np.max(np.abs(dg)) < 1e-12
         assert np.max(np.abs(dq)) < 1e-12
         assert np.max(np.abs(da)) < 1e-12
 
-    def test_heisenberg_type_reduces_to_circle_flow(self):
+    def test_heisenberg_type_reduces_to_circle_flow(self, grid_data):
         # g = u I, Q = e^{-2f}, F = -dx^dy: du = e^{-2f}/u per axis,
         # dQ = -e^{-4f}/u^2
         u, f = 1.3, 0.2
@@ -325,7 +324,7 @@ class TestFlowRhs:
         chart = g0.chart
         g = MetricField(chart, u * np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
         q = QField(chart, 1, np.full(chart.resolution + (1, 1), np.exp(-2 * f)))
-        dg, dq, da = flow_rhs_torus(g, q, a0)
+        dg, dq, da = flow_rhs_from_data(grid_data(g, q, a0))
         e = np.exp(-2 * f)
         assert np.max(np.abs(dg[..., 0, 0] - e / u)) < 1e-12
         assert np.max(np.abs(dg[..., 1, 1] - e / u)) < 1e-12
@@ -333,7 +332,7 @@ class TestFlowRhs:
         assert np.max(np.abs(dq[..., 0, 0] + e * e / u ** 2)) < 1e-12
         assert np.max(np.abs(da)) < 1e-12
 
-    def test_rhs_equals_minus_two_blocks(self):
+    def test_rhs_equals_minus_two_blocks(self, grid_data):
         # the directly-coded evolution equations against the block contractions
         chart = PeriodicChart((2 * np.pi, 2 * np.pi), (16, 16))
         coords = chart.grid_coords()
@@ -353,7 +352,7 @@ class TestFlowRhs:
         g = MetricField(chart, gv)
         q = QField(chart, 2, qv)
         alpha = ConnectionField(chart, 2, av)
-        data = bundle_data_from_fields(g, q, alpha)
+        data = grid_data(g, q, alpha)
         dg, dq, da = flow_rhs_from_data(data)
         blocks = ricci_blocks_torus(data)
         scale = max(np.max(np.abs(dg)), np.max(np.abs(dq)), np.max(np.abs(da)), 1.0)
@@ -376,13 +375,13 @@ class TestFlowRhs:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_rhs_symmetric_at_every_point(self):
+    def test_rhs_symmetric_at_every_point(self, grid_data):
         g, q, a = heisenberg_bundle_fields(1, 0.8)
-        dg, dq, _ = flow_rhs_torus(g, q, a)
+        dg, dq, _ = flow_rhs_from_data(grid_data(g, q, a))
         assert np.array_equal(dg, np.swapaxes(dg, -1, -2))
         assert np.array_equal(dq, np.swapaxes(dq, -1, -2))
 
-    def test_gauge_independence_of_blocks(self):
+    def test_gauge_independence_of_blocks(self, grid_data):
         # two connection gauges differing by an exact form give the same
         # curvature and hence the same blocks
         chart = PeriodicChart((2 * np.pi, 2 * np.pi), (32, 32))
@@ -398,8 +397,8 @@ class TestFlowRhs:
         av2[..., 0, :] += grad(psi, chart)
         a1 = ConnectionField(chart, 1, av)
         a2 = ConnectionField(chart, 1, av2)
-        b1 = ricci_blocks_torus(bundle_data_from_fields(g, q, a1))
-        b2 = ricci_blocks_torus(bundle_data_from_fields(g, q, a2))
+        b1 = ricci_blocks_torus(grid_data(g, q, a1))
+        b2 = ricci_blocks_torus(grid_data(g, q, a2))
         for lhs, rhs in ((b1.fiber, b2.fiber), (b1.mixed, b2.mixed), (b1.base, b2.base)):
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -407,12 +406,12 @@ class TestFlowRhs:
 class TestWarpedProduct:
     def test_curvature_linear_part_in_f(self):
         g, q, a = heisenberg_bundle_fields(1, 1.0)
-        f = curvature_from_connection(a)
+        f = curvature_from_connection(a.chart, a.values, a.curvature_linear_part())
         assert np.allclose(f[..., 0, 0, 1], -1.0)
         assert np.allclose(f[..., 0, 1, 0], 1.0)
 
     def test_reduces_to_density_rhs(self):
-        from bundleflow.bakry_emery import BEState, be_rhs
+        from bundleflow.bakry_emery import BEState, be_factor, be_rhs
         chart = PeriodicChart((2 * np.pi, 2 * np.pi), (16, 16))
         coords = chart.grid_coords()
         x, y = coords[..., 0], coords[..., 1]
@@ -423,7 +422,7 @@ class TestWarpedProduct:
         g = MetricField(chart, gv)
         f = ScalarField(chart, 0.2 * np.sin(x) + 0.1 * np.cos(2 * y))
         q = 2
-        dg_be, df_be = be_rhs(BEState(g, f, N=2 + q))
+        dg_be, df_be = be_rhs(be_factor(BEState(g, f, N=2 + q)).reuse)
         dg_fl, dq_fl, _ = flow_rhs_from_data(warped_product_data(g, f, q))
         df_fl = -(q / 2.0) * dq_fl[..., 0, 0] / np.exp(-2.0 * f.values / q)
         assert np.max(np.abs(dg_be - dg_fl)) < 1e-12 * np.max(np.abs(dg_be))

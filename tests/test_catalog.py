@@ -203,8 +203,8 @@ class TestBergerBundleDecomposition:
 
 
 class TestSol3GaugeFreedom:
-    def test_two_primitives_same_blocks(self, sol3_fields):
-        from bundleflow.bundle import bundle_data_from_fields, ricci_blocks_torus
+    def test_two_primitives_same_blocks(self, sol3_fields, grid_data):
+        from bundleflow.bundle import ricci_blocks_torus
         from bundleflow.grids import ConnectionField, grad
         g, q, a1 = sol3_fields
         chart = g.chart
@@ -213,8 +213,8 @@ class TestSol3GaugeFreedom:
         av2 = np.array(a1.values)
         av2[..., 0, :] += grad(psi, chart)
         a2 = ConnectionField(chart, 1, av2)
-        b1 = ricci_blocks_torus(bundle_data_from_fields(g, q, a1))
-        b2 = ricci_blocks_torus(bundle_data_from_fields(g, q, a2))
+        b1 = ricci_blocks_torus(grid_data(g, q, a1))
+        b2 = ricci_blocks_torus(grid_data(g, q, a2))
         interior = (slice(4, -4), slice(None))
         for lhs, rhs in ((b1.fiber, b2.fiber), (b1.mixed, b2.mixed), (b1.base, b2.base)):
             assert np.max(np.abs(lhs[interior] - rhs[interior])) < 1e-9
