@@ -150,10 +150,9 @@ def be_integrate(s0: BEState, dt: float, t_end: float, k_values=DEFAULT_K_VALUES
     recording states and their monitors.  The extinction guard watches the
     smallest eigenvalue of g."""
     records, stop_reason = fixed_step_integrate(
-        be_step, be_factor, s0, dt, t_end,
-        h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every,
-        extinction_ratio=extinction_ratio,
-        record=lambda cur: (cur.state, monitors(cur.reuse, k_values)))
+        be_step, be_factor, lambda cur: (cur.state, monitors(cur.reuse, k_values)), s0,
+        dt, t_end, h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every,
+        extinction_ratio=extinction_ratio)
     states, mons = (list(x) for x in zip(*records))
     return BETrace(states, mons, stop_reason)
 

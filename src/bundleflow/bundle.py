@@ -394,13 +394,14 @@ class BundleRecord(BundleState):
 
 
 def _accepted(s: BundleState, g_factor, q_factor) -> Accepted:
-    return Accepted(s, (g_factor[1], q_factor[1]), (g_factor[0], q_factor[0]))
+    (g_inv, min_g), (q_inv, min_q) = g_factor, q_factor
+    return Accepted(s, (min_g, min_q), (g_inv, q_inv))
 
 
 def _bundle_step(cur: Accepted, dt: float, max_halvings: int) -> Accepted:
     """One RK4 step of the torus-bundle flow, halved as ``rk4_halving`` does."""
     s = cur.state
-    chart, q, q_a, linear = s.g.chart, s.Q.q, s.alpha.q, s.alpha.linear
+    chart, q, linear = s.g.chart, s.Q.q, s.alpha.linear
     lin = s.alpha.curvature_linear_part()
 
     def rhs(t, y):
@@ -410,7 +411,7 @@ def _bundle_step(cur: Accepted, dt: float, max_halvings: int) -> Accepted:
     def accept(t, y):
         g, g_factor = MetricField.factored(spd_factor, chart, y[0])
         Q, q_factor = QField.factored(spd_factor, chart, q, y[1])
-        return _accepted(BundleState(g, Q, ConnectionField(chart, q_a, y[2], linear), t),
+        return _accepted(BundleState(g, Q, ConnectionField(chart, q, y[2], linear), t),
                          g_factor, q_factor)
 
     y = (s.g.values, s.Q.values, s.alpha.values)
@@ -431,8 +432,6 @@ def bundle_integrate(state0: BundleState, dt: float, t_end: float,
         raise DimensionMismatch("fiber dimensions of Q and the connection differ")
     return fixed_step_integrate(
         _bundle_step, lambda s: _accepted(s, spd_factor(s.g.values), spd_factor(s.Q.values)),
-        state0, dt, t_end,
-        h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every,
-        extinction_ratio=extinction_ratio, max_halvings=max_halvings,
-        record=lambda c: BundleRecord(c.state.g, c.state.Q, c.state.alpha, c.state.t,
-                                      *c.min_eigs))
+        lambda c: BundleRecord(c.state.g, c.state.Q, c.state.alpha, c.state.t, *c.min_eigs),
+        state0, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every,
+        extinction_ratio=extinction_ratio, max_halvings=max_halvings)

@@ -96,10 +96,9 @@ class Accepted:
         return reuse
 
 
-def fixed_step_integrate(step: Callable, factor: Callable, state0, dt: float, t_end: float,
-                         h_min: float, c_cfl: float, record_every: int,
-                         extinction_ratio: float, max_halvings: int = 20,
-                         record: Callable = lambda cur: cur.state):
+def fixed_step_integrate(step: Callable, factor: Callable, record: Callable, state0,
+                         dt: float, t_end: float, h_min: float, c_cfl: float,
+                         record_every: int, extinction_ratio: float, max_halvings: int = 20):
     """Drive ``step(current, dt, max_halvings) -> current`` from ``state0.t`` to t_end.
 
     The current state is an ``Accepted``: ``factor(state0)`` makes the first,

@@ -11,6 +11,11 @@ from bundleflow.grids import MetricField, PeriodicChart, ScalarField
 from scalar_reference import drift_laplacian_field, grad_norm_sq_field, laplacian_field
 
 
+def rhs(g, f, N):
+    """``be_rhs`` at the state (g, f, N), from its factored stage geometry."""
+    return be_rhs(be_factor(BEState(g, f, N)).reuse)
+
+
 def flat_setup(res=48, L=2.0 * np.pi, amp=0.0):
     chart = PeriodicChart((L, L), (res, res))
     x = chart.grid_coords()[..., 0]
@@ -31,14 +36,14 @@ class TestRicciFN:
         gv[..., 1, 1] = 1.0 + 0.1 * np.cos(x)
         g = MetricField(chart, gv)
         f = ScalarField(chart, np.full(chart.resolution, 0.7))
-        dg, _ = be_rhs(be_factor(BEState(g, f, 5)).reuse)
+        dg, _ = rhs(g, f, 5)
         ric, _ = ricci_field_with_defect(
             chart, christoffel_field(chart, g.values, spd_inverse(g.values)))
         assert np.max(np.abs(dg + 2.0 * ric)) < 1e-12
 
     def test_flat_infinite_N_is_hessian(self):
         chart, g, f, x = flat_setup(amp=0.3, L=2 * np.pi, res=96)
-        out = -0.5 * be_rhs(be_factor(BEState(g, f, np.inf)).reuse)[0]
+        out = -0.5 * rhs(g, f, np.inf)[0]
         # Hess f of 0.3 sin(x): diag(-0.3 sin x, 0)
         assert np.max(np.abs(out[..., 0, 0] + 0.3 * np.sin(x))) < 5e-4
         assert np.max(np.abs(out[..., 1, 1])) < 5e-4
@@ -46,8 +51,7 @@ class TestRicciFN:
     def test_finite_N_subtracts_gradient_square(self):
         chart, g, f, x = flat_setup(amp=0.3, res=96)
         n = 2
-        diff = -0.5 * (be_rhs(be_factor(BEState(g, f, n + 2)).reuse)[0]
-                       - be_rhs(be_factor(BEState(g, f, np.inf)).reuse)[0])
+        diff = -0.5 * (rhs(g, f, n + 2)[0] - rhs(g, f, np.inf)[0])
         expected = -0.5 * (0.3 * np.cos(x)) ** 2
         assert np.max(np.abs(diff[..., 0, 0] - expected)) < 5e-4
         assert np.max(np.abs(diff[..., 1, 1])) < 1e-12
@@ -61,7 +65,7 @@ class TestRicciFN:
 class TestBeRhs:
     def test_flat_fixed_point(self):
         _, g, f, _ = flat_setup(amp=0.0)
-        dg, df = be_rhs(be_factor(BEState(g, f, np.inf)).reuse)
+        dg, df = rhs(g, f, np.inf)
         assert np.max(np.abs(dg)) < 1e-12
         assert np.max(np.abs(df)) < 1e-12
 
@@ -75,7 +79,7 @@ class TestBeRhs:
         g_vals[..., 1, 1] = np.sin(theta) ** 2
         g = MetricField(chart, g_vals)
         f = ScalarField(chart, np.zeros(chart.resolution))
-        dg, df = be_rhs(be_factor(BEState(g, f, np.inf)).reuse)
+        dg, df = rhs(g, f, np.inf)
         interior = slice(4, -4)
         err = np.max(np.abs(dg[interior] + 2.0 * g_vals[interior]))
         assert err < 5e-3
@@ -83,7 +87,7 @@ class TestBeRhs:
 
     def test_drift_equals_two_printed_forms(self):
         _, g, f, _ = flat_setup(amp=0.2)
-        _, df_dot = be_rhs(be_factor(BEState(g, f, 5)).reuse)
+        _, df_dot = rhs(g, f, 5)
         assert np.max(np.abs(df_dot - drift_laplacian_field(f, f, g))) < 1e-12
         explicit = laplacian_field(f, g) - grad_norm_sq_field(f, g)
         assert np.max(np.abs(df_dot - explicit)) < 1e-12

@@ -62,6 +62,16 @@ class TestFields:
         m = MetricField(c, v)
         assert np.array_equal(m.values[..., 0, 1], m.values[..., 1, 0])
 
+    def test_metric_values_are_an_owned_read_only_copy(self):
+        # the symmetrized array is the one copy: the caller's array stays
+        # writable and a later write to it does not reach the field
+        c = chart2d(8)
+        v = np.tile(np.eye(2), c.resolution + (1, 1))
+        m = MetricField(c, v)
+        v[...] = 5.0
+        assert v.flags.writeable and not m.values.flags.writeable
+        assert np.array_equal(m.values, np.tile(np.eye(2), c.resolution + (1, 1)))
+
     def test_metric_asymmetric_rejected(self):
         c = chart2d(8)
         v = np.tile(np.array([[2.0, 0.5], [0.1, 1.0]]), c.resolution + (1, 1))
