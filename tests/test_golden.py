@@ -91,8 +91,9 @@ def test_outputs_match_golden_hashes(tmp_path, monkeypatch):
                    if digests.get(name) != golden["sha256"].get(name))
     here = library_build()
     recorded = {key: golden[key] for key in here}
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     assert not moved, (f"output bytes moved for {moved}; hashes recorded with {recorded}, "
-                       f"this run uses {here}")
+                       f"this run uses {here} on a CPU with {simd}")
 
 
 if __name__ == "__main__":
