@@ -10,8 +10,8 @@ integrated in a fixed background gauge by the fixed-step RK4 driver of
 there).  Each RK stage computes its geometry once (``be_stage``) from raw
 arrays.  An accepted state is validated and factored once, and its stage
 geometry gives both the next step's k1 and the state's monitors, so a step
-costs four geometry passes.  The monitored
-scalars are the density scalar curvature barS = g^{bc} barRic_bc and
+costs four geometry passes.  The monitored scalars are the density scalar
+curvature barS = g^{bc} barRic_bc and
 
     tildeS_k = barS + Delta f - (k + 1) |grad f|^2 ,
 
