@@ -19,11 +19,21 @@ Otherwise every ``record_every``-th state and the final one are recorded.
 ``adaptive_rk`` is a Dormand-Prince 5(4) embedded pair with a PI step-size
 controller.  Steps are clamped to requested sample times (if any), every
 accepted step is recorded, and a caller-supplied predicate can stop the
-integration early.  Everything is deterministic for fixed inputs.
+integration early.  Everything is deterministic for fixed inputs.  Its
+states are short (the reduced flows have two components), so it runs on
+Python floats: the state and every stage are lists of floats, and the
+right-hand side takes and returns floats.  Each stage state is formed per
+component in the order the former numpy loop used (0 + a_0 k_0 + a_1 k_1
+..., then times dt, then plus y), so results are bit for bit those of
+that loop.  The two weighted sums of the stages stay numpy ``@`` products
+on one array per step: BLAS's dot does not sum in sequence, and a
+sequential sum would move the last bit of about a third of the
+components.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Any, Callable, Optional, Sequence
@@ -137,27 +147,74 @@ class OdeResult:
     n_rejected: int
 
 
-def adaptive_rk(f: Callable[[float, np.ndarray], np.ndarray],
+def _stage_state(y: list, dt: float, row: tuple, ks: list) -> list:
+    """y + dt * (0 + a_0 k_0 + a_1 k_1 + ...) per component, summed in the
+    order numpy's ``sum`` over stage arrays used, so every bit matches."""
+    out = []
+    for yc, kc in zip(y, zip(*ks)):
+        s = 0.0
+        for a, kv in zip(row, kc):
+            s += a * kv
+        out.append(yc + dt * s)
+    return out
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _dp_attempt(f: Callable, t: float, y: list, dt: float, k_first: Sequence[float],
+                rtol: float, atol: float):
+    """One Dormand-Prince trial step from y and its first stage: (err, y5, k7).
+
+    err is the RMS of the 5(4) difference over atol + rtol * max(|y|, |y5|),
+    summed in index order (numpy's own order below eight components), or
+    inf, with y5 and k7 None, when a stage or y5 is not finite.
+    """
+    ks = [k_first]
+    for i in range(1, 6):
+        ki = f(t + _C[i] * dt, _stage_state(y, dt, _A[i], ks))
+        if not _finite(ki):
+            return math.inf, None, None
+        ks.append(ki)
+    k = np.empty((7, len(y)))
+    k[:6] = ks
+    y5 = [yc + dt * w for yc, w in zip(y, (_B5[:6] @ k[:6]).tolist())]
+    k_last = f(t + dt, y5)
+    if not (_finite(k_last) and _finite(y5)):
+        return math.inf, None, None
+    k[6] = k_last
+    y4 = [yc + dt * w for yc, w in zip(y, (_B4 @ k).tolist())]
+    total = 0.0
+    for a, b, c in zip(y, y5, y4):
+        r = (b - c) / (atol + rtol * max(abs(a), abs(b)))
+        total += r * r
+    return math.sqrt(total / len(y)), y5, k_last
+
+
+def adaptive_rk(f: Callable[[float, list], Sequence[float]],
                 t0: float, y0: Sequence[float], t_end: float,
                 rtol: float = 1e-9, atol: float = 1e-12,
-                stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None,
+                stop: Optional[Callable[[float, list], Optional[str]]] = None,
                 t_eval: Optional[Sequence[float]] = None) -> OdeResult:
     """Integrate y' = f(t, y) from t0 to t_end, recording every accepted step.
 
-    stop(t, y) may return a reason string to end the run after an accepted
-    step.  When ``t_eval`` is given, steps are shortened so those times are
-    hit exactly (entries must be increasing and inside (t0, t_end]).  The
-    right-hand side may return non-finite values for out-of-domain trial
-    states; such trials are rejected and retried with a smaller step.  The
-    run stops with "MaxSteps" after ``MAX_STEPS`` accepted steps.
+    The state is a list of Python floats: ``f(t, y)`` receives one and
+    returns a sequence of floats, and ``stop(t, y)`` receives each accepted
+    state and may return a reason string to end the run.  When ``t_eval``
+    is given, steps are shortened so those times are hit exactly (entries
+    must be increasing and inside (t0, t_end]).  The right-hand side may
+    return non-finite values for out-of-domain trial states; such trials are
+    rejected and retried with a smaller step.  The run stops with "MaxSteps"
+    after ``MAX_STEPS`` accepted steps.
     """
-    y = np.array(y0, dtype=float)
+    y = [float(v) for v in y0]
     t = float(t0)
-    ts, ys = [t], [y.copy()]
+    ts, ys = [t], [y]
     eval_times = list(t_eval) if t_eval is not None else []
 
     def t_close(a: float, b: float) -> bool:
-        return abs(a - b) <= max(MIN_STEP, 8.0 * np.spacing(max(abs(a), abs(b))))
+        return abs(a - b) <= max(MIN_STEP, 8.0 * math.ulp(max(abs(a), abs(b))))
 
     next_eval = 0
     while next_eval < len(eval_times) and eval_times[next_eval] <= t0 + MIN_STEP:
@@ -178,31 +235,13 @@ def adaptive_rk(f: Callable[[float, np.ndarray], np.ndarray],
             dt = min(dt, eval_times[next_eval] - t)
         if dt < MIN_STEP:
             raise StepUnderflow(f"step size underflow at t={t:.17g}")
-        k = np.empty((7, y.size))
-        k[0] = k_first
-        finite = True
-        for i in range(1, 6):
-            yi = y + dt * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = f(t + _C[i] * dt, yi)
-            if not np.all(np.isfinite(k[i])):
-                finite = False
-                break
-        if finite:
-            y5 = y + dt * (_B5[:6] @ k[:6])
-            k[6] = f(t + dt, y5)
-            finite = np.all(np.isfinite(k[6])) and np.all(np.isfinite(y5))
-        if finite:
-            y4 = y + dt * (_B4 @ k)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        else:
-            err = np.inf
+        err, y5, k_last = _dp_attempt(f, t, y, dt, k_first, rtol, atol)
         if err <= 1.0:
             t = t + dt
             y = y5
-            k_first = k[6]
+            k_first = k_last
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             n_steps += 1
             if next_eval < len(eval_times) and t_close(t, eval_times[next_eval]):
                 next_eval += 1
@@ -219,6 +258,6 @@ def adaptive_rk(f: Callable[[float, np.ndarray], np.ndarray],
             err_prev = err
         else:
             n_rejected += 1
-            shrink = 0.9 * err ** (-1.0 / 5.0) if np.isfinite(err) else 0.2
+            shrink = 0.9 * err ** (-1.0 / 5.0) if math.isfinite(err) else 0.2
             dt *= min(1.0, max(0.2, shrink))
     return OdeResult(np.array(ts), np.array(ys), stop_reason, n_steps, n_rejected)

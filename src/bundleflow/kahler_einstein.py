@@ -21,7 +21,9 @@ conserved combination b^4/a^4 - b^3/a^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DomainError, LambdaZero, NegativeBase
@@ -72,9 +74,11 @@ class LauretState:
             raise DomainError(f"a must be >= 0, got {self.a}")
 
 
-def ke_rhs(u, f, p: KEParams) -> tuple[float, float]:
-    """(du/dt, df/dt) of the reduced flow at u > 0 (not checked here)."""
-    e = np.exp(-2.0 * f)
+def ke_rhs(u: float, f: float, p: KEParams) -> tuple[float, float]:
+    """(du/dt, df/dt) of the reduced flow at u > 0 (not checked here).
+
+    ``np.exp``, not ``math.exp``: the two may differ in the last bit."""
+    e = float(np.exp(-2.0 * f))
     return (-2.0 * p.lam + e / u, p.n * e / (2.0 * u * u))
 
 
@@ -205,8 +209,8 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
     def rhs(t, y):
         u, f = y
         if u <= 0:
-            return np.array([np.nan, np.nan])
-        return np.array(ke_rhs(u, f, p))
+            return math.nan, math.nan
+        return ke_rhs(u, f, p)
 
     def stop(t, y):
         return "Extinct" if y[0] <= guard else None
@@ -218,6 +222,6 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
 
 def lauret_integrate(l0: LauretState, t_end: float, tol: float = 1e-9, t_eval=None):
     """Integrate the (a, b) system; returns (t, a, b, stop_reason)."""
-    res = adaptive_rk(lambda t, y: np.array(lauret_rhs(*y)), l0.t, (l0.a, l0.b), t_end,
+    res = adaptive_rk(lambda t, y: lauret_rhs(*y), l0.t, (l0.a, l0.b), t_end,
                       rtol=tol, atol=tol * 1e-3, t_eval=t_eval)
     return res.t, res.y[:, 0], res.y[:, 1], res.stop_reason

@@ -1,5 +1,6 @@
 """Shared Runge-Kutta machinery and the fixed-step driver of both grid flows."""
 
+import math
 import sys
 from collections import Counter
 
@@ -37,27 +38,30 @@ class TestRk4Step:
         assert y[1][0] == pytest.approx(2.0 * np.exp(-2.0), abs=1e-9)
 
 
+def negate(t, y):
+    return [-v for v in y]
+
+
 class TestAdaptiveRk:
     def test_exponential_decay(self):
-        res = adaptive_rk(lambda t, y: -y, 0.0, [1.0], 3.0, rtol=1e-10, atol=1e-13)
+        res = adaptive_rk(negate, 0.0, [1.0], 3.0, rtol=1e-10, atol=1e-13)
         assert res.stop_reason == "Horizon"
         assert res.t[-1] == pytest.approx(3.0, abs=1e-12)
         assert res.y[-1, 0] == pytest.approx(np.exp(-3.0), rel=1e-8)
 
     def test_harmonic_energy(self):
-        def f(t, y):
-            return np.array([y[1], -y[0]])
-        res = adaptive_rk(f, 0.0, [1.0, 0.0], 20.0, rtol=1e-10, atol=1e-13)
+        res = adaptive_rk(lambda t, y: (y[1], -y[0]), 0.0, [1.0, 0.0], 20.0,
+                          rtol=1e-10, atol=1e-13)
         energy = res.y[:, 0] ** 2 + res.y[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) < 1e-7
 
     def test_t_eval_times_hit(self):
-        res = adaptive_rk(lambda t, y: -y, 0.0, [1.0], 1.0, t_eval=[0.25, 0.5, 0.75])
+        res = adaptive_rk(negate, 0.0, [1.0], 1.0, t_eval=[0.25, 0.5, 0.75])
         for target in (0.25, 0.5, 0.75):
             assert np.min(np.abs(res.t - target)) < 1e-13
 
     def test_stop_predicate(self):
-        res = adaptive_rk(lambda t, y: -y, 0.0, [1.0], 50.0,
+        res = adaptive_rk(negate, 0.0, [1.0], 50.0,
                           stop=lambda t, y: "Small" if y[0] < 0.5 else None)
         assert res.stop_reason == "Small"
         assert res.y[-1, 0] < 0.5
@@ -66,19 +70,80 @@ class TestAdaptiveRk:
     def test_underflow_on_finite_time_blowup(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1
         with pytest.raises(StepUnderflow):
-            adaptive_rk(lambda t, y: y * y, 0.0, [1.0], 2.0, rtol=1e-9)
+            adaptive_rk(lambda t, y: [v * v for v in y], 0.0, [1.0], 2.0, rtol=1e-9)
 
     def test_nan_rhs_is_rejected_not_accepted(self):
         # rhs goes invalid below y = 0.5; the guard stops the run first
         def f(t, y):
             if y[0] < 0.5:
-                return np.array([np.nan])
-            return -y
+                return [math.nan]
+            return negate(t, y)
 
         res = adaptive_rk(f, 0.0, [1.0], 50.0,
                           stop=lambda t, y: "Guard" if y[0] <= 0.6 else None)
         assert res.stop_reason == "Guard"
         assert np.all(np.isfinite(res.y))
+
+    def test_seven_stages_per_attempt_first_same_as_last(self):
+        # the jump at t = 0.5 makes the controller reject steps
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return [float(t > 0.5) * math.cos(v) for v in y]
+
+        res = adaptive_rk(f, 0.0, [0.0], 1.0)
+        assert res.n_rejected > 10
+        assert len(calls) == 1 + 6 * (res.n_steps + res.n_rejected)
+
+    def test_states_are_float_lists(self):
+        seen = []
+
+        def stop(t, y):
+            seen.append((t, y))
+            return None
+
+        res = adaptive_rk(lambda t, y: (y[1], -y[0]), 0.0, [1, 0], 1.0, stop=stop)
+        assert len(seen) == res.n_steps
+        assert all(type(t) is float and type(y) is list and {type(v) for v in y} == {float}
+                   for t, y in seen)
+        assert [y for _, y in seen] == res.y[1:].tolist()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_attempt_matches_the_numpy_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        coef = rng.standard_normal((n, n))
+
+        def f(t, y):                    # a linear map, summed in order on either path
+            out = []
+            for row in coef.tolist():
+                s = 0.0
+                for c, v in zip(row, y):
+                    s += c * v
+                out.append(math.cos(t) * s)
+            return out
+
+        for _ in range(200):
+            y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)).tolist()
+            t, dt = float(rng.uniform(0, 5)), float(10.0 ** rng.uniform(-4, 0))
+            err, y5, k7 = integrate._dp_attempt(f, t, y, dt, f(t, y), 1e-9, 1e-12)
+            ref_err, ref_y5, ref_k7 = numpy_attempt(f, t, y, dt, 1e-9, 1e-12)
+            assert (err, y5, k7) == (ref_err, ref_y5.tolist(), ref_k7.tolist())
+
+
+def numpy_attempt(f, t, y, dt, rtol, atol):
+    """One Dormand-Prince attempt on numpy arrays, as the integrator once ran it."""
+    y = np.array(y)
+    k = np.empty((7, y.size))
+    k[0] = f(t, y)
+    for i in range(1, 6):
+        k[i] = f(t + integrate._C[i] * dt,
+                 y + dt * sum(a * k[j] for j, a in enumerate(integrate._A[i])))
+    y5 = y + dt * (integrate._B5[:6] @ k[:6])
+    k[6] = f(t + dt, y5)
+    y4 = y + dt * (integrate._B4 @ k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    return float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2))), y5, k[6]
 
 
 def density_state(N=np.inf, amp=0.1):
