@@ -73,24 +73,35 @@ def spd_factor(g: np.ndarray, cap: float = CONDITION_CAP) -> tuple[np.ndarray, f
         raise SingularMetric(_rejection(g, cap)) from exc
     wmin, wmax = w[..., 0], w[..., -1]
     if not np.all((wmin > 0.0) & (wmax / cap <= wmin) & np.isfinite(wmax)):
-        raise SingularMetric(_rejection(g, cap))
+        raise SingularMetric(_rejection(g, cap, w))
     low_inv = np.linalg.inv(low)
     return np.swapaxes(low_inv, -1, -2) @ low_inv, float(np.min(wmin))
 
 
-def _rejection(g: np.ndarray, cap: float) -> str:
+def _rejection(g: np.ndarray, cap: float, w: np.ndarray | None = None) -> str:
     """Why ``spd_factor`` rejects g, naming the first node that is not
-    finite, not positive definite or above the cap."""
-    for node in np.ndindex(g.shape[:-2]):
-        where = f" at node {node}" if node else ""
-        if not np.all(np.isfinite(g[node])):
-            return f"matrix has a non-finite entry{where}"
-        w = np.linalg.eigvalsh(g[node])
-        if not w[0] > 0.0:
-            return f"matrix is not positive definite{where}"
-        if not w[-1] / cap <= w[0]:
-            return f"condition number above {cap:g}{where} (eigenvalues {w[0]:.3e} to {w[-1]:.3e})"
-    return "matrix is not positive definite"
+    finite, not positive definite or above the cap.  ``w`` holds the
+    eigenvalues of every node when the caller has them; otherwise one
+    batched eigensolve over the finite nodes gives them."""
+    stack = g.reshape((-1,) + g.shape[-2:])
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    if w is None:
+        w = np.full(stack.shape[:-1], np.nan)
+        if np.any(finite):
+            w[finite] = np.linalg.eigvalsh(stack[finite])
+    w = w.reshape(stack.shape[:-1])
+    ok = finite & (w[:, 0] > 0.0) & (w[:, -1] / cap <= w[:, 0])
+    if np.all(ok):
+        return "matrix is not positive definite"
+    first = int(np.argmin(ok))
+    node = tuple(int(i) for i in np.unravel_index(first, g.shape[:-2]))
+    where = f" at node {node}" if node else ""
+    lo, hi = w[first, 0], w[first, -1]
+    if not finite[first]:
+        return f"matrix has a non-finite entry{where}"
+    if not lo > 0.0:
+        return f"matrix is not positive definite{where}"
+    return f"condition number above {cap:g}{where} (eigenvalues {lo:.3e} to {hi:.3e})"
 
 
 def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:

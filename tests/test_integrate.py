@@ -11,7 +11,7 @@ from bundleflow import bakry_emery, bundle, diffgeo, integrate
 from bundleflow.bakry_emery import BEState, be_factor, be_integrate, be_rhs, be_stage, be_step
 from bundleflow.bundle import BundleState, bundle_integrate, flow_rhs_from_data
 from bundleflow.catalog import heisenberg_bundle_fields
-from bundleflow.errors import DomainError, StepRejected, StepUnderflow
+from bundleflow.errors import DomainError, SingularMetric, StepRejected, StepUnderflow
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField
 from bundleflow.integrate import adaptive_rk, rk4_step
 
@@ -253,6 +253,36 @@ class TestFixedStepDriver:
         counts.clear()
         run_bundle(1e-3, 1e-3)
         assert counts == {"spd_inverse": 6, "christoffel_field": 4}
+
+    def test_rejected_stage_costs_at_most_two_eigensolves(self, monkeypatch):
+        # A 32^2 density run whose steps halve until the flow blows up: every
+        # rejected stage names its bad node, from one batched eigensolve.
+        eigensolves, per_rejection = [0], []
+        eigvalsh, spd_factor = np.linalg.eigvalsh, diffgeo.spd_factor
+
+        def counted(a, **kwargs):
+            eigensolves[0] += 1
+            return eigvalsh(a, **kwargs)
+
+        def watched(*args, **kwargs):
+            eigensolves[0] = 0
+            try:
+                return spd_factor(*args, **kwargs)
+            except SingularMetric:
+                per_rejection.append(eigensolves[0])
+                raise
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for module in [m for k, m in sys.modules.items() if k.startswith("bundleflow")]:
+            if getattr(module, "spd_factor", None) is spd_factor:
+                monkeypatch.setattr(module, "spd_factor", watched)
+        chart = PeriodicChart((2 * np.pi, 2 * np.pi), (32, 32))
+        g = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
+        f = ScalarField(chart, 0.5 * np.sin(chart.grid_coords()[..., 0]))
+        with pytest.raises(StepRejected):
+            be_integrate(BEState(g, f, 5.0), 2.5, 2.5, c_cfl=1e9)
+        assert len(per_rejection) > 100
+        assert max(per_rejection) <= 2
 
 
 class TestOneFactorizationPerAcceptedState:
