@@ -24,6 +24,7 @@ and factored once, and its g^{-1} and Q^{-1} give the next step's k1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,10 @@ class StructureConstants:
         return np.einsum("umu->m", self.c)
 
     @classmethod
+    @functools.cache
     def abelian(cls, q: int) -> "StructureConstants":
+        """The zero bracket on R^q, built (and its Jacobi identity checked)
+        once per q; instances are frozen and ``c`` is read-only."""
         return cls(q, np.zeros((q, q, q)))
 
     @classmethod

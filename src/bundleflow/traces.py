@@ -43,10 +43,6 @@ class FlowTrace:
         return self.columns[name]
 
 
-def _format_cell(x: float) -> str:
-    return "" if np.isnan(x) else format(float(x), ".17g")
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Whole-file atomic write: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -76,8 +72,8 @@ def write_trace(trace: FlowTrace, path: str) -> None:
     lines.append(",".join(names))
     if names:
         data = np.column_stack([trace.columns[n] for n in names])
-        for row in data:
-            lines.append(",".join(_format_cell(x) for x in row))
+        for row in data.tolist():              # x != x: NaN, written as an empty cell
+            lines.append(",".join("" if x != x else format(x, ".17g") for x in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

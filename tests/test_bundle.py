@@ -80,6 +80,12 @@ class TestStructureConstants:
         c = StructureConstants(2, aff)
         assert np.array_equal(c.trace_vector, np.array([-1.0, 0.0]))
 
+    def test_abelian_built_once_and_read_only(self):
+        c = StructureConstants.abelian(2)
+        assert StructureConstants.abelian(2) is c and c.is_abelian
+        with pytest.raises(ValueError):
+            c.c[0, 0, 0] = 1.0
+
 
 class TestLieGroupRicci:
     def test_abelian_flat(self):

@@ -41,6 +41,13 @@ class TestRoundTrip:
             assert np.array_equal(back[name], trace[name])
         assert back.meta["label"] == "roundtrip"
 
+    def test_special_values_cells(self, tmp_path):
+        trace = FlowTrace({"x": [-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1]})
+        path = tmp_path / "special.csv"
+        write_trace(trace, str(path))
+        assert path.read_text().split("\n")[1:-1] == [
+            "-0", "inf", "-inf", "", "4.9406564584124654e-324", "0.10000000000000001"]
+
     def test_nan_serialized_as_empty_cell(self, tmp_path):
         trace = FlowTrace({"t": [0.0, 1.0], "psi": [np.nan, 2.0]})
         path = tmp_path / "nan.csv"
