@@ -23,12 +23,12 @@ integration early.  Everything is deterministic for fixed inputs.  Its
 states are short (the reduced flows have two components), so it runs on
 Python floats: the state and every stage are lists of floats, and the
 right-hand side takes and returns floats.  Each stage state is formed per
-component in the order the former numpy loop used (0 + a_0 k_0 + a_1 k_1
-..., then times dt, then plus y), so results are bit for bit those of
-that loop.  The two weighted sums of the stages stay numpy ``@`` products
-on one array per step: BLAS's dot does not sum in sequence, and a
-sequential sum would move the last bit of about a third of the
-components.
+component in the order numpy forms y + dt * sum(a_j * k_j) over stage
+arrays (0 + a_0 k_0 + a_1 k_1 ..., then times dt, then plus y), so every
+bit equals that array form's.  The two weighted sums of the stages stay
+numpy ``@`` products on one array per step: BLAS's dot does not sum in
+sequence, and a sequential sum would move the last bit of about a third
+of the components.
 """
 
 from __future__ import annotations
@@ -148,13 +148,13 @@ class OdeResult:
 
 
 def _stage_state(y: list, dt: float, row: tuple, ks: list) -> list:
-    """y + dt * (0 + a_0 k_0 + a_1 k_1 + ...) per component, summed in the
-    order numpy's ``sum`` over stage arrays used, so every bit matches."""
+    """y + dt * (0 + a_0 k_0 + a_1 k_1 + ...) per component, each sum taken
+    left to right as ``sum`` takes it over numpy stage arrays."""
     out = []
-    for yc, kc in zip(y, zip(*ks)):
+    for c, yc in enumerate(y):
         s = 0.0
-        for a, kv in zip(row, kc):
-            s += a * kv
+        for a, k in zip(row, ks):
+            s += a * k[c]
         out.append(yc + dt * s)
     return out
 
