@@ -77,8 +77,8 @@ def be_stage(chart: PeriodicChart, g: np.ndarray, f: np.ndarray, inv_excess: flo
     """What the right-hand side and the monitors read at the arrays (g, f), with
     g^{-1} from the caller: (Ric + Hess f, df, g^{-1}, Delta f, |grad f|^2, 1 / (N - n))."""
     gamma, ric = base_geometry(chart, g, g_inv)
-    hess = hessian_field(chart, f, gamma)
     df = grad(f, chart)
+    hess = hessian_field(chart, f, gamma, df)
     return (ric + hess, df, g_inv, np.einsum("...bc,...bc->...", g_inv, hess),
             np.einsum("...bc,...b,...c->...", g_inv, df, df), inv_excess)
 

@@ -282,7 +282,7 @@ def bundle_data_from_fields(chart: PeriodicChart, g: np.ndarray, Q: np.ndarray, 
     DQ = grad(Q, chart)
     gamma_dq = (np.swapaxes(gamma.reshape(batch + (d, d * d)), -1, -2)
                 @ DQ.reshape(batch + (d, q * q)))           # Gamma^t_bc D_t Q_jk
-    DDQ = second_derivs(Q, chart) - gamma_dq.reshape(batch + (d, d, q, q))
+    DDQ = second_derivs(Q, chart, DQ) - gamma_dq.reshape(batch + (d, d, q, q))
     F = curvature_from_connection(chart, a, linear_curvature)
     # g^{nl} Gamma^t_nl, [t, 1], and g^{ln} Gamma^t_nc, [l, (t, c)]
     gamma_tr = gamma.reshape(batch + (d, d * d)) @ g_inv.reshape(batch + (d * d, 1))
@@ -309,7 +309,7 @@ def warped_product_data(g: MetricField, f: ScalarField, q: int) -> PointwiseBund
     g_inv = spd_inverse(g.values)
     gamma, ric = base_geometry(chart, g.values, g_inv)
     df = grad(f.values, chart)
-    hess = hessian_field(chart, f.values, gamma)
+    hess = hessian_field(chart, f.values, gamma, df)
     e = np.exp(-2.0 * f.values / q)
     eye = np.eye(q)
     shape_grid = f.values.shape
@@ -352,7 +352,7 @@ def flow_rhs_from_data(d: PointwiseBundleData):
     n, q = d.dims, d.q
     batch = gi.shape[:-2]
     A = Qi[..., None, :, :] @ DQ                            # (Q^-1 D_b Q)^u_k, [b, u, k]
-    trA = np.trace(A, axis1=-2, axis2=-1)                   # tr(Q^-1 D_b Q), [b]
+    trA = sum(A[..., u, u] for u in range(q))               # tr(Q^-1 D_b Q), [b]
     w = (gi @ trA[..., None])[..., 0]                       # g^{mn} tr(Q^-1 D_n Q), [m]
     Fg = F @ gi[..., None, :, :]                            # F^k_bl g^{ln}, [k, b, n]
     G = gi[..., None, :, :] @ Fg                            # g^{ln} F^k_nx g^{xm}, [k, l, m]

@@ -3,7 +3,8 @@
 All grid data lives on a rectangular chart with periodic wrap-around in
 every axis.  Arrays store the grid axes first and tensor component axes
 last, so einsum expressions can use an ellipsis for the grid part.
-Derivatives are plain second-order central differences.
+Derivatives are plain second-order central differences, gathered through
+neighbour index arrays that each chart builds once.
 Fields validate their values where they enter; integrator stages pass raw
 arrays, and a flow builds an accepted step's metrics with ``factored``.
 """
@@ -11,6 +12,7 @@ arrays, and a flow builds an accepted step's metrics with ``factored``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,13 +57,26 @@ class PeriodicChart:
     def dims(self) -> int:
         return len(self.extents)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(e / r for e, r in zip(self.extents, self.resolution))
 
+    @cached_property
+    def neighbours(self):
+        """Read-only stencil indices, built on first use: per axis the neighbours
+        ((i + 1) % n, (i - 1) % n); the flat indices of every node's +1 and -1
+        neighbours along each axis, (nodes, dims) each; 2 h per axis, (dims, 1)."""
+        axes = tuple(((np.arange(n) + 1) % n, (np.arange(n) - 1) % n) for n in self.resolution)
+        nodes = np.arange(np.prod(self.resolution)).reshape(self.resolution)
+        flat = tuple(np.stack([nodes.take(ax[k], a).ravel() for a, ax in enumerate(axes)], -1)
+                     for k in (0, 1))
+        two_h = np.array([[2.0 * h] for h in self.spacing])
+        for index in (*sum(axes, ()), *flat, two_h):
+            index.setflags(write=False)
+        return axes, flat, two_h
+
     def axis_coords(self, axis: int) -> np.ndarray:
-        h = self.extents[axis] / self.resolution[axis]
-        return self.origin[axis] + h * np.arange(self.resolution[axis])
+        return self.origin[axis] + self.spacing[axis] * np.arange(self.resolution[axis])
 
     def grid_coords(self) -> np.ndarray:
         """Coordinates of all nodes, shape (*resolution, dims)."""
@@ -203,39 +218,42 @@ class ConnectionField:
 # ---------------------------------------------------------------------------
 
 def deriv(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:
-    """Central difference along a chart axis."""
-    h = chart.spacing[axis]
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+    """Central difference along a chart axis: (v[i+1] - v[i-1]) / (2 h)."""
+    up, down = chart.neighbours[0][axis]
+    return (values.take(up, axis) - values.take(down, axis)) / (2.0 * chart.spacing[axis])
 
 
 def deriv2(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:
-    """Three-point second difference along one chart axis."""
+    """Three-point second difference along one chart axis:
+    ((v[i+1] - 2 v[i]) + v[i-1]) / (h h)."""
     h = chart.spacing[axis]
-    return (np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)) / (h * h)
+    up, down = chart.neighbours[0][axis]
+    return (values.take(up, axis) - 2.0 * values + values.take(down, axis)) / (h * h)
 
 
 def grad(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
-    """All first derivatives; the new derivative axis sits right after the grid axes."""
-    d = chart.dims
-    parts = [deriv(values, chart, a) for a in range(d)]
-    return np.stack(parts, axis=d)
+    """All first derivatives; the new derivative axis sits right after the grid
+    axes.  Each is ``deriv``'s difference, gathered for every axis at once."""
+    _, (up, down), two_h = chart.neighbours
+    v = values.reshape((-1,) + values.shape[chart.dims:])
+    diff = (v.take(up, 0) - v.take(down, 0)).reshape(up.shape + (-1,))
+    return (diff / two_h).reshape(chart.resolution + (chart.dims,) + values.shape[chart.dims:])
 
 
-def second_derivs(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
+def second_derivs(values: np.ndarray, chart: PeriodicChart, dvalues: np.ndarray) -> np.ndarray:
     """Matrix of second coordinate derivatives, exactly symmetric by construction.
 
-    Output shape (*grid, dims, dims, *tail): mixed partials are computed once
-    for each unordered axis pair and mirrored.
+    ``dvalues`` is ``grad(values, chart)``.  Output shape (*grid, dims, dims,
+    *tail): the mixed partial d_a d_b for a < b is ``deriv`` along a of
+    dvalues[..., b, ...], computed once and mirrored.
     """
     d = chart.dims
-    tail = values.shape[d:]
-    out = np.zeros(chart.resolution + (d, d) + tail)
+    out = np.empty(chart.resolution + (d, d) + values.shape[d:])
     idx_grid = (slice(None),) * d
     for a in range(d):
         out[idx_grid + (a, a)] = deriv2(values, chart, a)
-        for b in range(a + 1, d):
-            mixed = deriv(deriv(values, chart, b), chart, a)
-            out[idx_grid + (a, b)] = mixed
-            out[idx_grid + (b, a)] = mixed
+        if a + 1 < d:
+            mixed = deriv(dvalues[idx_grid + (slice(a + 1, None),)], chart, a)
+            out[idx_grid + (a, slice(a + 1, None))] = mixed
+            out[idx_grid + (slice(a + 1, None), a)] = mixed
     return out
-

@@ -1,21 +1,67 @@
-"""Independent grid references for the density-flow right-hand side.
+"""Independent grid references for the stencils and the density-flow
+right-hand side.
 
-Each operator is built from ``spd_inverse``, ``christoffel_field`` and the
-stencils on its own, apart from ``bakry_emery.be_stage``, so the tests can
+The ``roll_*`` stencils are the periodic differences written with
+``np.roll``; the gathered stencils of ``grids`` must equal them bit for bit.
+Each density operator is built from ``spd_inverse``, ``christoffel_field`` and
+the stencils on its own, apart from ``bakry_emery.be_stage``, so the tests can
 hold ``be_rhs`` and the monitors against it.
 """
 
 import numpy as np
 
 from bundleflow.diffgeo import christoffel_field, hessian_field, spd_inverse
-from bundleflow.grids import MetricField, ScalarField, grad, require_same_chart
+from bundleflow.grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
+
+
+def roll_deriv(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:
+    h = chart.spacing[axis]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+def roll_deriv2(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:
+    h = chart.spacing[axis]
+    return (np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)) / (h * h)
+
+
+def roll_grad(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
+    d = chart.dims
+    return np.stack([roll_deriv(values, chart, a) for a in range(d)], axis=d)
+
+
+def roll_second_derivs(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
+    d = chart.dims
+    out = np.zeros(chart.resolution + (d, d) + values.shape[d:])
+    idx_grid = (slice(None),) * d
+    for a in range(d):
+        out[idx_grid + (a, a)] = roll_deriv2(values, chart, a)
+        for b in range(a + 1, d):
+            mixed = roll_deriv(roll_deriv(values, chart, b), chart, a)
+            out[idx_grid + (a, b)] = mixed
+            out[idx_grid + (b, a)] = mixed
+    return out
+
+
+def roll_ricci_field(chart: PeriodicChart, gamma: np.ndarray) -> np.ndarray:
+    """The grid Ricci of ``diffgeo.ricci_field_with_defect`` before
+    symmetrization, with ``np.trace`` and the rolled stencils."""
+    d = chart.dims
+    trace = np.trace(gamma, axis1=-3, axis2=-2)
+    gamma_t = np.swapaxes(gamma, -3, -2).copy()
+    return (sum(roll_deriv(gamma[..., a, :, :], chart, a) for a in range(d))
+            - roll_grad(trace, chart)
+            + (trace[..., None, :] @ gamma.reshape(chart.resolution + (d, d * d))
+               ).reshape(gamma.shape[:-1])
+            - gamma_t.reshape(chart.resolution + (d, d * d))
+            @ gamma_t.reshape(chart.resolution + (d * d, d)))
 
 
 def laplacian_field(f: ScalarField, m: MetricField) -> np.ndarray:
     require_same_chart(f, m)
     g_inv = spd_inverse(m.values)
     gamma = christoffel_field(m.chart, m.values, g_inv)
-    return np.einsum("...bc,...bc->...", g_inv, hessian_field(f.chart, f.values, gamma))
+    return np.einsum("...bc,...bc->...", g_inv, hessian_field(f.chart, f.values, gamma,
+                                                              grad(f.values, f.chart)))
 
 
 def grad_norm_sq_field(f: ScalarField, m: MetricField) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Finite-difference curvature operators against hand and symbolic values."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from bundleflow.diffgeo import (CONDITION_CAP, CoordinateMetric, _ricci_from_gamma, christoffel,
                                 christoffel_field, hessian_field, ricci, ricci_field_with_defect,
-                                ricci_with_defect, spd_inverse)
+                                ricci_with_defect, spd_factor, spd_inverse)
 from bundleflow.errors import SingularMetric
-from bundleflow.grids import MetricField, PeriodicChart, ScalarField, deriv
-from scalar_reference import drift_laplacian_field, grad_norm_sq_field, laplacian_field
+from bundleflow.grids import MetricField, PeriodicChart, ScalarField, deriv, grad
+from scalar_reference import (drift_laplacian_field, grad_norm_sq_field, laplacian_field,
+                              roll_ricci_field)
 
 FLAT2 = CoordinateMetric(2, lambda p: np.eye(2), name="flat")
 HYPERBOLIC = CoordinateMetric(2, lambda p: np.diag([1.0, 1.0]) / p[1] ** 2, name="half-plane")
@@ -150,7 +152,8 @@ class TestScalarCalculus:
     def test_constant_function(self):
         f = ScalarField(self.chart, np.full(self.chart.resolution, 2.5))
         gamma = christoffel_field(self.chart, self.g.values, spd_inverse(self.g.values))
-        assert np.max(np.abs(hessian_field(self.chart, f.values, gamma))) == 0.0
+        df = grad(f.values, self.chart)
+        assert np.max(np.abs(hessian_field(self.chart, f.values, gamma, df))) == 0.0
         assert np.max(np.abs(laplacian_field(f, self.g))) == 0.0
         assert np.max(np.abs(grad_norm_sq_field(f, self.g))) == 0.0
 
@@ -280,6 +283,68 @@ class TestSpdInverse:
             residual = np.max(np.abs(inv @ stack - np.eye(d)), axis=(1, 2))
             assert np.all(residual <= 16 * d * eps * ratios), (residual, ratios)
 
+    # As _NODE, but every SPD node's eigenvalue ratio lies within a factor 4
+    # of the cap, or within 0.5 % of it, where the Frobenius bound is
+    # inconclusive and rounding decides.
+    _CAP = np.log10(CONDITION_CAP)
+    _NEAR_CAP = st.tuples(st.sampled_from(["spd"] * 6 + ["indefinite", "nan", "inf", "-inf"]),
+                          st.floats(-100.0, 100.0),
+                          st.one_of(st.floats(_CAP - np.log10(4), _CAP + np.log10(4)),
+                                    st.floats(_CAP - 2e-3, _CAP + 2e-3)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), nodes=st.lists(st.one_of(_NODE, _NEAR_CAP), min_size=1,
+                                               max_size=6),
+           single=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stage_inverse_matches_factor_exactly(self, d, nodes, single, seed):
+        """``spd_inverse`` skips the eigensolve where the Frobenius bound
+        allows; its accept/reject decision, message and inverse bits are
+        those of ``spd_factor``, and it lets no RuntimeWarning escape."""
+        rng = np.random.default_rng(seed)
+        stack = []
+        for kind, low, spread in nodes:
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            w = 10.0 ** (low + spread * np.r_[0.0, rng.uniform(size=max(d - 2, 0)), 1.0][:d])
+            if kind == "indefinite":
+                w[rng.integers(d)] *= -1.0
+            m = (q * w) @ q.T
+            m = 0.5 * (m + m.T)
+            if kind in ("nan", "inf", "-inf"):
+                i, j = rng.integers(d, size=2)
+                m[i, j] = m[j, i] = float(kind)
+            stack.append(m)
+        g = stack[0] if single else np.array(stack)
+
+        def outcome(invert):
+            try:
+                return invert(g).tobytes()
+            except SingularMetric as exc:
+                return str(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert outcome(spd_inverse) == outcome(lambda a: spd_factor(a)[0])
+
+
+    def test_stage_inverse_matches_factor_at_the_cap(self):
+        # 2 x 2 nodes within 0.03 % of the cap, where ||g||_F ||g^-1||_F is
+        # within rounding of the eigenvalue ratio: a bound accepted up to the
+        # cap itself, with no margin, would disagree with spd_factor here.
+        rng = np.random.default_rng(12)
+        q = np.linalg.qr(rng.normal(size=(2000, 2, 2)))[0]
+        low = rng.uniform(-100.0, 100.0, size=2000)
+        w = 10.0 ** np.stack([low, low + self._CAP + rng.uniform(-1e-4, 1e-4, size=2000)], -1)
+        stack = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+        for g in 0.5 * (stack + np.swapaxes(stack, -1, -2)):
+            try:
+                expected = spd_factor(g)[0].tobytes()
+            except SingularMetric as exc:
+                expected = str(exc)
+            try:
+                assert spd_inverse(g).tobytes() == expected
+            except SingularMetric as exc:
+                assert str(exc) == expected
+
 
 def random_metric_field(d: int, seed: int) -> MetricField:
     """Smooth periodic SPD metric on an 8^d chart: identity plus low Fourier modes."""
@@ -309,3 +374,19 @@ class TestStackFreeRicci:
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(ric - ref)) <= 1e-13 * scale
         assert np.max(np.abs(defect - ref_defect)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_trace_and_roll_form_bitwise(self, d):
+        # mostly signed zeros, so the sign of every exact zero is compared too
+        rng = np.random.default_rng(d)
+        chart = PeriodicChart((2.0 * np.pi,) * d, (8, 9, 16, 8)[:d])
+        shape = chart.resolution + (d, d, d)
+        gamma = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        dense = rng.random(shape) < 0.2
+        gamma[dense] = rng.normal(size=int(dense.sum()))
+        ric, defect = ricci_field_with_defect(chart, gamma)
+        raw = roll_ricci_field(chart, gamma)
+        ref = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        ref_defect = np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), axis=(-1, -2))
+        assert np.array_equal(ric.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(defect.view(np.int64), ref_defect.view(np.int64))

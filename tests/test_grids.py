@@ -6,6 +6,7 @@ import pytest
 from bundleflow.errors import ChartMismatch, DimensionMismatch, DomainError, SingularMetric
 from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart, ScalarField,
                               deriv, deriv2, grad, require_same_chart, second_derivs)
+from scalar_reference import roll_deriv, roll_deriv2, roll_grad, roll_second_derivs
 
 
 def chart2d(res=32, L=2.0 * np.pi):
@@ -40,6 +41,20 @@ class TestPeriodicChart:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
             PeriodicChart((1.0, 1.0), (8,))
+
+    def test_cached_stencil_data_keeps_equality_and_is_read_only(self):
+        used = PeriodicChart((1.0, 2.0), (8, 9))
+        grad(np.zeros(used.resolution), used)
+        assert used.spacing == (0.125, 2.0 / 9.0)
+        fresh = PeriodicChart((1.0, 2.0), (8, 9))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert require_same_chart(ScalarField(used, np.zeros((8, 9))),
+                                  ScalarField(fresh, np.zeros((8, 9)))) is used
+        axes, flat, two_h = used.neighbours
+        for index in (*(i for pair in axes for i in pair), *flat, two_h):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 0
 
 
 class TestFields:
@@ -116,8 +131,33 @@ class TestDerivatives:
         c = chart2d(16)
         rng = np.random.default_rng(3)
         v = rng.normal(size=c.resolution)
-        dd = second_derivs(v, c)
+        dd = second_derivs(v, c, grad(v, c))
         assert np.array_equal(dd[..., 0, 1], dd[..., 1, 0])
+
+    # d = 1..4 on charts whose axes have 8, 9 and 16 nodes, scalar and tensor
+    # valued; the values span 20 decades and include +-0, +-inf and NaN.
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    @pytest.mark.parametrize("tail", [(), (2, 3)])
+    def test_gathers_equal_rolled_differences_bitwise(self, d, n, tail):
+        rng = np.random.default_rng(100 * d + n + len(tail))
+        chart = PeriodicChart(tuple(rng.uniform(0.5, 7.0, size=d)), ((n, 8, 9, 16) * 2)[:d])
+        shape = chart.resolution + tail
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-10, 10, size=shape)
+        pick = rng.integers(0, 40, size=shape)
+        for k, special in enumerate((0.0, -0.0, np.inf, -np.inf, np.nan)):
+            v[pick == k] = special
+
+        def same(a, b):
+            return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+        with np.errstate(all="ignore"):
+            for a in range(d):
+                assert same(deriv(v, chart, a), roll_deriv(v, chart, a))
+                assert same(deriv2(v, chart, a), roll_deriv2(v, chart, a))
+            dv = grad(v, chart)
+            assert same(dv, roll_grad(v, chart))
+            assert same(second_derivs(v, chart, dv), roll_second_derivs(v, chart))
 
     def test_grad_axis_layout(self):
         c = chart2d(32)

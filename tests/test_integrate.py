@@ -255,11 +255,26 @@ class TestFixedStepDriver:
         run_bundle(1e-3, 1e-3)
         assert counts == {"spd_inverse": 6, "christoffel_field": 4}
 
+    def test_stages_make_no_roll_or_trace_call(self, monkeypatch, grid_data):
+        # stencils gather through the chart's neighbour indices and traces are
+        # sums of diagonal slices; a copying np.roll or a slow np.trace fails
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.roll or np.trace called in a stage")
+
+        monkeypatch.setattr(np, "roll", forbidden)
+        monkeypatch.setattr(np, "trace", forbidden)
+        s = density_state(N=5)
+        be_rhs(be_stage(s.g.chart, s.g.values, s.f.values, s.inv_excess,
+                        diffgeo.spd_inverse(s.g.values)))
+        flow_rhs_from_data(grid_data(*heisenberg_bundle_fields(1, 1.0)))
+        flow_rhs_from_data(grid_data(*heisenberg_bundle_fields(2, 1.0)))
+
     def test_rejected_stage_costs_at_most_two_eigensolves(self, monkeypatch):
         # A 32^2 density run whose steps halve until the flow blows up: every
-        # rejected stage names its bad node, from one batched eigensolve.
+        # rejected stage inversion runs one eigensolve on the nodes its bound
+        # leaves open and names its bad node from one more.
         eigensolves, per_rejection = [0], []
-        eigvalsh, spd_factor = np.linalg.eigvalsh, diffgeo.spd_factor
+        eigvalsh, spd_inverse = np.linalg.eigvalsh, diffgeo.spd_inverse
 
         def counted(a, **kwargs):
             eigensolves[0] += 1
@@ -268,15 +283,15 @@ class TestFixedStepDriver:
         def watched(*args, **kwargs):
             eigensolves[0] = 0
             try:
-                return spd_factor(*args, **kwargs)
+                return spd_inverse(*args, **kwargs)
             except SingularMetric:
                 per_rejection.append(eigensolves[0])
                 raise
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         for module in [m for k, m in sys.modules.items() if k.startswith("bundleflow")]:
-            if getattr(module, "spd_factor", None) is spd_factor:
-                monkeypatch.setattr(module, "spd_factor", watched)
+            if getattr(module, "spd_inverse", None) is spd_inverse:
+                monkeypatch.setattr(module, "spd_inverse", watched)
         chart = PeriodicChart((2 * np.pi, 2 * np.pi), (32, 32))
         g = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
         f = ScalarField(chart, 0.5 * np.sin(chart.grid_coords()[..., 0]))
@@ -307,8 +322,10 @@ class TestOneFactorizationPerAcceptedState:
             monkeypatch.setattr(np.linalg, name, counted)
         steps = len(run(state0)) - 1
         assert steps == 3
-        # plus the one factorization of the initial state, in the driver
-        assert counts == {"cholesky": 4 * steps + 1, "eigvalsh": 4 * steps + 1}
+        # Stages 2-4 invert g without an eigensolve, so only the accepted
+        # state's factorization solves for eigenvalues.  Plus the one
+        # factorization of the initial state, in the driver.
+        assert counts == {"cholesky": 4 * steps + 1, "eigvalsh": steps + 1}
 
     def test_four_geometry_passes_per_density_step(self, monkeypatch):
         # stages 2-4 and the result; state0's pass is step 1's k1
