@@ -116,7 +116,7 @@ def be_factor(s: BEState) -> Accepted:
     return _accepted(s, *spd_factor(s.g.values))
 
 
-def be_step(cur: Accepted, dt: float, max_halvings: int = 20) -> Accepted:
+def be_step(cur: Accepted, dt: float) -> Accepted:
     """One RK4 step of the density flow, halved as ``rk4_halving`` does."""
     s = cur.state
     chart, inv_excess = s.g.chart, s.inv_excess
@@ -129,7 +129,7 @@ def be_step(cur: Accepted, dt: float, max_halvings: int = 20) -> Accepted:
         g, (g_inv, min_eig) = MetricField.factored(spd_factor, chart, y[0])
         return _accepted(BEState(g, ScalarField(chart, y[1]), s.N, t), g_inv, min_eig)
 
-    return rk4_halving(rhs, s.t, (s.g.values, s.f.values), k1, dt, accept, max_halvings)
+    return rk4_halving(rhs, s.t, (s.g.values, s.f.values), k1, dt, accept)
 
 
 @dataclass
@@ -144,15 +144,13 @@ class BETrace:
 
 
 def be_integrate(s0: BEState, dt: float, t_end: float, k_values=DEFAULT_K_VALUES,
-                 c_cfl: float = 0.2, record_every: int = 1,
-                 extinction_ratio: float = 1e-6) -> BETrace:
+                 c_cfl: float = 0.2, record_every: int = 1) -> BETrace:
     """Integrate the density flow with ``integrate.fixed_step_integrate``,
     recording states and their monitors.  The extinction guard watches the
     smallest eigenvalue of g."""
     records, stop_reason = fixed_step_integrate(
         be_step, be_factor, lambda cur: (cur.state, monitors(cur.reuse, k_values)), s0,
-        dt, t_end, h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every,
-        extinction_ratio=extinction_ratio)
+        dt, t_end, h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every)
     states, mons = (list(x) for x in zip(*records))
     return BETrace(states, mons, stop_reason)
 

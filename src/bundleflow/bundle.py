@@ -76,11 +76,11 @@ class StructureConstants:
         return cls(q, np.zeros((q, q, q)))
 
     @classmethod
-    def su2(cls, scale: float = 1.0) -> "StructureConstants":
+    def su2(cls) -> "StructureConstants":
         c = np.zeros((3, 3, 3))
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            c[i, j, k] = scale
-            c[j, i, k] = -scale
+            c[i, j, k] = 1.0
+            c[j, i, k] = -1.0
         return cls(3, c)
 
 
@@ -169,11 +169,12 @@ class RicciBlocks:
     def base_asymmetry(self) -> float:
         return float(np.max(np.abs(self.base - np.swapaxes(self.base, -1, -2))))
 
-    def check_symmetry(self, tol: float = BLOCK_SYMMETRY_TOL) -> "RicciBlocks":
-        scale = 1.0 + max(float(np.max(np.abs(self.fiber))), float(np.max(np.abs(self.base))))
-        if self.fiber_asymmetry > tol * scale or self.base_asymmetry > tol * scale:
+    def check_symmetry(self) -> "RicciBlocks":
+        tol = BLOCK_SYMMETRY_TOL * (1.0 + max(float(np.max(np.abs(self.fiber))),
+                                              float(np.max(np.abs(self.base)))))
+        if self.fiber_asymmetry > tol or self.base_asymmetry > tol:
             raise DomainError(
-                f"assembled Ricci blocks are asymmetric beyond {tol:g} "
+                f"assembled Ricci blocks are asymmetric beyond {BLOCK_SYMMETRY_TOL:g} "
                 f"(fiber {self.fiber_asymmetry:.3e}, base {self.base_asymmetry:.3e})")
         return self
 
@@ -402,7 +403,7 @@ def _accepted(s: BundleState, g_factor, q_factor) -> Accepted:
     return Accepted(s, (min_g, min_q), (g_inv, q_inv))
 
 
-def _bundle_step(cur: Accepted, dt: float, max_halvings: int) -> Accepted:
+def _bundle_step(cur: Accepted, dt: float) -> Accepted:
     """One RK4 step of the torus-bundle flow, halved as ``rk4_halving`` does."""
     s = cur.state
     chart, q, linear = s.g.chart, s.Q.q, s.alpha.linear
@@ -420,12 +421,11 @@ def _bundle_step(cur: Accepted, dt: float, max_halvings: int) -> Accepted:
 
     y = (s.g.values, s.Q.values, s.alpha.values)
     k1 = flow_rhs_from_data(bundle_data_from_fields(chart, *y, lin, *cur.take_reuse()))
-    return rk4_halving(rhs, s.t, y, k1, dt, accept, max_halvings)
+    return rk4_halving(rhs, s.t, y, k1, dt, accept)
 
 
 def bundle_integrate(state0: BundleState, dt: float, t_end: float,
-                     record_every: int = 1, c_cfl: float = 0.2,
-                     extinction_ratio: float = 1e-6, max_halvings: int = 20):
+                     record_every: int = 1, c_cfl: float = 0.2):
     """Integrate the torus-bundle flow on a periodic chart with
     ``integrate.fixed_step_integrate``.  The extinction guard watches the
     smallest eigenvalues of g and of Q.  Returns (records, stop_reason), each
@@ -437,5 +437,4 @@ def bundle_integrate(state0: BundleState, dt: float, t_end: float,
     return fixed_step_integrate(
         _bundle_step, lambda s: _accepted(s, spd_factor(s.g.values), spd_factor(s.Q.values)),
         lambda c: BundleRecord(c.state.g, c.state.Q, c.state.alpha, c.state.t, *c.min_eigs),
-        state0, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every,
-        extinction_ratio=extinction_ratio, max_halvings=max_halvings)
+        state0, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every)

@@ -163,12 +163,11 @@ def heisenberg_total_metric(n: int, c: float) -> CoordinateMetric:
     return CoordinateMetric(2 * n + 1, evaluate, name=f"heisenberg({n},{c:g})")
 
 
-def heisenberg_bundle_fields(n: int, c: float, resolution: int = 16,
-                             extent: float = 2.0):
-    """Flat Euclidean base fields with the linear gauge a^1_{y_i} = -x_i."""
+def heisenberg_bundle_fields(n: int, c: float, resolution: int = 16):
+    """Flat Euclidean base fields on [-1, 1)^(2n) with the linear gauge a^1_{y_i} = -x_i."""
     d = 2 * n
     res = min(resolution, 8) if d >= 4 else resolution
-    chart = PeriodicChart((extent,) * d, (res,) * d, (-extent / 2.0,) * d)
+    chart = PeriodicChart((2.0,) * d, (res,) * d, (-1.0,) * d)
     shape = chart.resolution
     g = MetricField(chart, np.broadcast_to(np.eye(d), shape + (d, d)).copy())
     q = QField(chart, 1, np.full(shape + (1, 1), c * c))

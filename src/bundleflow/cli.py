@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -188,7 +187,6 @@ def _geometry_entry(cfg: dict):
 def cmd_flow_ode(cfg: dict, out_dir: str | None) -> int:
     entry = _geometry_entry(cfg)
     num = cfg.get("numerics", {})
-    started = time.perf_counter()
     trace = ke.ke_integrate(entry.ke_state0, entry.ke_params,
                             t_end=float(num.get("t_end", 1.0)),
                             tol=float(num.get("tol", 1e-9)),
@@ -198,7 +196,6 @@ def cmd_flow_ode(cfg: dict, out_dir: str | None) -> int:
     for key, value in sorted(cfg.get("params", {}).items()):
         meta[key] = format(value, "g") if isinstance(value, float) else str(value)
     flow = reduced_flow_trace(trace, meta)
-    flow.meta["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
     path = _out_path(cfg, out_dir, "trace", "trace.csv")
     write_trace(flow, path)
     print(f"flow-ode: {len(flow)} rows, stop={trace.stop_reason}, wrote {path}")
@@ -259,7 +256,6 @@ def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
     f0 = ScalarField(chart, amplitude * np.sin(2.0 * np.pi * x / extent))
     g0 = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
     k_values = tuple(int(k) for k in params.get("k", (0, 1)))
-    started = time.perf_counter()
     trace = be.be_integrate(be.BEState(g0, f0, n_float),
                             dt=float(num.get("dt", 1.0)),
                             t_end=float(num.get("t_end", 1.0)),
@@ -272,8 +268,7 @@ def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
     columns["max_grad_f_sq"] = np.array([m.max_grad_f_sq for m in trace.monitors])
     meta = {"command": "flow-be", "N": str(n_value), "amplitude": format(amplitude, "g"),
             "resolution": str(res), "stop_reason": trace.stop_reason,
-            "version": __version__, "config": json.dumps(cfg, sort_keys=True),
-            "wall_time_s": f"{time.perf_counter() - started:.3f}"}
+            "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
     flow = FlowTrace(columns, meta)
     path = _out_path(cfg, out_dir, "trace", "trace_be.csv")
     write_trace(flow, path)
@@ -297,7 +292,6 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
         raise ConfigError(f"params.c must be positive, got {c:g}")
     g0, q0, a0 = heisenberg_bundle_fields(n, c, resolution=int(num.get("resolution", 16)))
     origin = (0,) * (g0.chart.dims + 2)
-    started = time.perf_counter()
     states, stop = bundle_integrate(BundleState(g0, q0, a0, 0.0),
                                     dt=float(num.get("dt", 5e-3)),
                                     t_end=float(num.get("t_end", 1.0)),
@@ -311,8 +305,7 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
         "min_eig_q": np.array([s.min_eig_q for s in states]),
     }
     meta = {"command": "flow-bundle", "geometry": geometry, "stop_reason": stop,
-            "version": __version__, "config": json.dumps(cfg, sort_keys=True),
-            "wall_time_s": f"{time.perf_counter() - started:.3f}"}
+            "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
     flow = FlowTrace(columns, meta)
     path = _out_path(cfg, out_dir, "trace", "trace_bundle.csv")
     write_trace(flow, path)

@@ -53,61 +53,50 @@ class CoordinateMetric:
         return g
 
 
-def spd_inverse(g: np.ndarray, cap: float = CONDITION_CAP) -> np.ndarray:
-    """Inverse of an SPD matrix (or stack of them), with ``spd_factor``'s bits,
-    decisions and messages but an eigensolve only at nodes where
-    ||g||_F^2 ||g^-1||_F^2 > (cap / 2)^2.  That product bounds the squared
-    condition number from above (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 6.2); the factor 2 absorbs rounding."""
+def spd_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix (or stack of them) through its Cholesky factor,
+    the one gate of every metric: SingularMetric names the first node that is
+    not finite, not positive definite or above ``CONDITION_CAP`` in eigenvalue
+    ratio.  Only nodes where ||g||_F^2 ||g^-1||_F^2 > (cap / 2)^2 run an
+    eigensolve: that product bounds the squared condition number from above
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.2);
+    the factor 2 absorbs rounding."""
     try:
         low_inv = np.linalg.inv(np.linalg.cholesky(g))
         with np.errstate(all="ignore"):         # non-finite nodes fail the bound
-            inv = np.swapaxes(low_inv, -1, -2) @ low_inv
+            # L^-T copied: numpy multiplies a view of L^-1's buffer more slowly, to the same bits
+            inv = np.swapaxes(low_inv, -1, -2).copy() @ low_inv
             unsure = ~(np.einsum("...ij,...ij->...", g, g)
-                       * np.einsum("...ij,...ij->...", inv, inv) <= (0.5 * cap) ** 2)
+                       * np.einsum("...ij,...ij->...", inv, inv) <= (0.5 * CONDITION_CAP) ** 2)
         if np.any(unsure):
             w = np.linalg.eigvalsh(g[unsure])  # ascending at every node
-            if not np.all((w[:, 0] > 0.0) & (w[:, -1] / cap <= w[:, 0]) & np.isfinite(w[:, -1])):
-                raise SingularMetric(_rejection(g, cap))
+            if not np.all((w[:, 0] > 0.0) & (w[:, -1] / CONDITION_CAP <= w[:, 0])
+                          & np.isfinite(w[:, -1])):
+                raise SingularMetric(_rejection(g))
     except np.linalg.LinAlgError as exc:       # eigvalsh too, on a NaN the factor let through
-        raise SingularMetric(_rejection(g, cap)) from exc
+        raise SingularMetric(_rejection(g)) from exc
     return inv
 
 
-def spd_factor(g: np.ndarray, cap: float = CONDITION_CAP) -> tuple[np.ndarray, float]:
-    """Inverse of an SPD matrix (or stack) through its Cholesky factor, and the
-    smallest eigenvalue over the stack.
-
-    Raises SingularMetric if, at any node of the stack, the matrix has a
-    non-finite entry, is not positive definite, or has an eigenvalue ratio
-    above ``cap``; the message names the first such node.  Flows are
-    expected to stop before reaching this state.
-    """
+def spd_factor(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """``spd_inverse(g)`` and the smallest eigenvalue over the stack."""
+    inv = spd_inverse(g)
     try:
-        low = np.linalg.cholesky(g)
-        w = np.linalg.eigvalsh(g)              # ascending at every node
-    except np.linalg.LinAlgError as exc:       # eigvalsh too, on a NaN the factor let through
-        raise SingularMetric(_rejection(g, cap)) from exc
-    wmin, wmax = w[..., 0], w[..., -1]
-    if not np.all((wmin > 0.0) & (wmax / cap <= wmin) & np.isfinite(wmax)):
-        raise SingularMetric(_rejection(g, cap, w))
-    low_inv = np.linalg.inv(low)
-    return np.swapaxes(low_inv, -1, -2) @ low_inv, float(np.min(wmin))
+        return inv, float(np.min(np.linalg.eigvalsh(g)[..., 0]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(_rejection(g)) from exc
 
 
-def _rejection(g: np.ndarray, cap: float, w: np.ndarray | None = None) -> str:
-    """Why ``spd_factor`` rejects g, naming the first node that is not
-    finite, not positive definite or above the cap.  ``w`` holds the
-    eigenvalues of every node when the caller has them; otherwise one
-    batched eigensolve over the finite nodes gives them."""
+def _rejection(g: np.ndarray) -> str:
+    """Why ``spd_inverse`` rejects g, naming the first node that is not
+    finite, not positive definite or above the cap, from one batched
+    eigensolve over the finite nodes."""
     stack = g.reshape((-1,) + g.shape[-2:])
     finite = np.all(np.isfinite(stack), axis=(-2, -1))
-    if w is None:
-        w = np.full(stack.shape[:-1], np.nan)
-        if np.any(finite):
-            w[finite] = np.linalg.eigvalsh(stack[finite])
-    w = w.reshape(stack.shape[:-1])
-    ok = finite & (w[:, 0] > 0.0) & (w[:, -1] / cap <= w[:, 0])
+    w = np.full(stack.shape[:-1], np.nan)
+    if np.any(finite):
+        w[finite] = np.linalg.eigvalsh(stack[finite])
+    ok = finite & (w[:, 0] > 0.0) & (w[:, -1] / CONDITION_CAP <= w[:, 0])
     if np.all(ok):
         return "matrix is not positive definite"
     first = int(np.argmin(ok))
@@ -118,7 +107,7 @@ def _rejection(g: np.ndarray, cap: float, w: np.ndarray | None = None) -> str:
         return f"matrix has a non-finite entry{where}"
     if not lo > 0.0:
         return f"matrix is not positive definite{where}"
-    return f"condition number above {cap:g}{where} (eigenvalues {lo:.3e} to {hi:.3e})"
+    return f"condition number above {CONDITION_CAP:g}{where} (eigenvalues {lo:.3e} to {hi:.3e})"
 
 
 def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -2,17 +2,17 @@
 
 ``fixed_step_integrate`` is the one driver of both grid flows (the density
 flow and the torus-bundle flow).  Each state it accepts is symmetrized,
-validated and factored exactly once (Cholesky, eigenvalues, condition cap);
+validated and factored exactly once (``diffgeo.spd_factor``);
 the exact smallest eigenvalues cap the step at c_cfl * h_min^2 *
 lambda_min(g) and feed the extinction guard, and the factorization gives the
 next step's first stage k1 (first same as last, like ``adaptive_rk``'s
 ``k_first``).  Each step is classical RK4 on a tuple of arrays
 (``rk4_step``).  A step whose later stages or result are not positive
-definite or exceed the condition cap (``SingularMetric`` or
-``LinAlgError``) is halved and retried from the same k1, up to
-``max_halvings`` times, then ``StepRejected`` is raised.  After every
+definite or exceed the condition cap (``SingularMetric``, raised by
+``diffgeo.spd_inverse`` alone) is halved and retried from the same k1, up
+to ``MAX_HALVINGS`` times, then ``StepRejected`` is raised.  After every
 accepted step the smallest eigenvalue of each positive-definite array is
-compared with ``extinction_ratio`` times its initial value; at or below it
+compared with ``EXTINCTION_RATIO`` times its initial value; at or below it
 the crossing state is recorded and the run stops with "ExtinctionGuard".
 Otherwise every ``record_every``-th state and the final one are recorded.
 
@@ -58,6 +58,8 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 MIN_STEP = 1e-14
 MAX_STEPS = 2_000_000
+MAX_HALVINGS = 20
+EXTINCTION_RATIO = 1e-6
 
 
 def rk4_step(f: Callable, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
@@ -73,22 +75,21 @@ def rk4_step(f: Callable, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
-def rk4_halving(f: Callable, t: float, y: tuple, k1: tuple, dt: float,
-                accept: Callable, max_halvings: int = 20):
+def rk4_halving(f: Callable, t: float, y: tuple, k1: tuple, dt: float, accept: Callable):
     """One RK4 step from y and its first stage k1, halving dt while a later
     stage or the result is rejected; every retry reuses k1.
 
     ``accept(t_new, y_new)`` validates and factors the new arrays and returns
     the caller's next ``Accepted``.  It rejects a result that is not positive
     definite or is above the condition cap, so such a step is halved, not
-    accepted.  Raises StepRejected after ``max_halvings`` halvings.
+    accepted.  Raises StepRejected after ``MAX_HALVINGS`` halvings.
     """
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         try:
             return accept(t + dt, rk4_step(f, t, y, dt, k1))
-        except (SingularMetric, np.linalg.LinAlgError):
+        except SingularMetric:
             dt *= 0.5
-    raise StepRejected(f"step kept failing after {max_halvings} halvings at t={t:g}")
+    raise StepRejected(f"step kept failing after {MAX_HALVINGS} halvings at t={t:g}")
 
 
 @dataclass
@@ -107,9 +108,8 @@ class Accepted:
 
 
 def fixed_step_integrate(step: Callable, factor: Callable, record: Callable, state0,
-                         dt: float, t_end: float, h_min: float, c_cfl: float,
-                         record_every: int, extinction_ratio: float, max_halvings: int = 20):
-    """Drive ``step(current, dt, max_halvings) -> current`` from ``state0.t`` to t_end.
+                         dt: float, t_end: float, h_min: float, c_cfl: float, record_every: int):
+    """Drive ``step(current, dt) -> current`` from ``state0.t`` to t_end.
 
     The current state is an ``Accepted``: ``factor(state0)`` makes the first,
     ``step`` each next one.  ``record(current)`` is stored for each recorded
@@ -121,13 +121,13 @@ def fixed_step_integrate(step: Callable, factor: Callable, record: Callable, sta
             "need dt > 0, t_end > start time, c_cfl > 0 and an integer record_every >= 1, "
             f"got dt={dt!r}, t_end={t_end!r}, c_cfl={c_cfl!r}, record_every={record_every!r}")
     cur = factor(state0)
-    guards = [extinction_ratio * m for m in cur.min_eigs]
+    guards = [EXTINCTION_RATIO * m for m in cur.min_eigs]
     records = [record(cur)]
     stop_reason = "Horizon"
     step_index = 0
     while cur.state.t < t_end - MIN_STEP:
         cap = c_cfl * h_min * h_min * max(cur.min_eigs[0], 1e-300)
-        cur = step(cur, min(dt, cap, t_end - cur.state.t), max_halvings)
+        cur = step(cur, min(dt, cap, t_end - cur.state.t))
         step_index += 1
         crossed = any(m <= g for m, g in zip(cur.min_eigs, guards))
         if crossed or step_index % record_every == 0 or cur.state.t >= t_end - MIN_STEP:

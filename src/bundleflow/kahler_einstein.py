@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LambdaZero, NegativeBase
-from .integrate import adaptive_rk
-
-EXTINCTION_RATIO = 1e-6
+from .integrate import EXTINCTION_RATIO, adaptive_rk
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,7 @@ class ReducedTrace:
 
 
 def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
-                 extinction_ratio: float = EXTINCTION_RATIO,
-                 t_eval=None) -> ReducedTrace:
+                 extinction_ratio: float = EXTINCTION_RATIO) -> ReducedTrace:
     """Integrate the reduced flow from s0 with relative tolerance ``tol``.
 
     Stops at ``t_end`` or, for collapsing trajectories, when u falls to
@@ -216,7 +213,7 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
         return "Extinct" if y[0] <= guard else None
 
     res = adaptive_rk(rhs, s0.t, (s0.u, s0.f), t_end, rtol=tol, atol=tol * 1e-3,
-                      stop=stop, t_eval=t_eval)
+                      stop=stop)
     return ReducedTrace(p, res.t, res.y[:, 0], res.y[:, 1], res.stop_reason)
 
 

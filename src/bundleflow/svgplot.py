@@ -38,10 +38,11 @@ def _escape(text: str) -> str:
             .translate(_NON_XML))
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round-numbered ticks over [lo, hi], about a fifth of its width apart."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -4,8 +4,7 @@ A trace is an ordered set of equal-length named columns plus string
 metadata.  Files are UTF-8 CSV: metadata as leading ``# key: value`` lines,
 then a header row, then data rows with every float printed with 17
 significant digits (lossless for binary64).  NaN serializes as an empty
-cell and reads back as NaN.  Wall-clock time, when present on the object,
-is never written, so identical inputs produce byte-identical files.
+cell and reads back as NaN.  Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TraceIoError, TraceParseError
-
-WALL_TIME_KEY = "wall_time_s"
 
 
 @dataclass
@@ -62,12 +59,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_trace(trace: FlowTrace, path: str) -> None:
-    """Serialize to CSV; the wall-time metadata entry is deliberately skipped."""
-    lines = []
-    for key, value in trace.meta.items():
-        if key == WALL_TIME_KEY:
-            continue
-        lines.append(f"# {key}: {value}")
+    """Serialize to CSV."""
+    lines = [f"# {key}: {value}" for key, value in trace.meta.items()]
     names = list(trace.columns)
     lines.append(",".join(names))
     if names:

@@ -365,12 +365,12 @@ def check_pde_ode_consistency() -> CheckResult:
 
 # --- 10 ----------------------------------------------------------------
 
-def _be_run(N: float, t_end: float = 1.0):
+def _be_run(N: float):
     chart = PeriodicChart((2.0 * np.pi, 2.0 * np.pi), (32, 32))
     x = chart.grid_coords()[..., 0]
     f0 = ScalarField(chart, 0.1 * np.sin(x))
     g0 = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
-    return be.be_integrate(be.BEState(g0, f0, N), dt=1.0, t_end=t_end, k_values=(0, 1))
+    return be.be_integrate(be.BEState(g0, f0, N), dt=1.0, t_end=1.0, k_values=(0, 1))
 
 
 def check_bakry_emery() -> CheckResult:

@@ -1,17 +1,45 @@
-"""Independent grid references for the stencils and the density-flow
-right-hand side.
+"""Independent references for the SPD gate, the stencils and the
+density-flow right-hand side.
 
-The ``roll_*`` stencils are the periodic differences written with
-``np.roll``; the gathered stencils of ``grids`` must equal them bit for bit.
-Each density operator is built from ``spd_inverse``, ``christoffel_field`` and
-the stencils on its own, apart from ``bakry_emery.be_stage``, so the tests can
-hold ``be_rhs`` and the monitors against it.
+``eig_spd_factor`` decides from the eigenvalues of every node before it
+inverts; ``diffgeo.spd_inverse`` and ``spd_factor`` must match its decision,
+message, inverse bits and smallest eigenvalue.  The ``roll_*`` stencils are
+the periodic differences written with ``np.roll``; the gathered stencils of
+``grids`` must equal them bit for bit.  Each density operator is built from
+``spd_inverse``, ``christoffel_field`` and the stencils on its own, apart
+from ``bakry_emery.be_stage``, so the tests can hold ``be_rhs`` and the
+monitors against it.
 """
 
 import numpy as np
 
-from bundleflow.diffgeo import christoffel_field, hessian_field, spd_inverse
+from bundleflow.diffgeo import CONDITION_CAP, christoffel_field, hessian_field, spd_inverse
+from bundleflow.errors import SingularMetric
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
+
+
+def eig_spd_factor(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of an SPD matrix (or stack) and its smallest eigenvalue over the
+    stack, checked node by node by eigensolve first: SingularMetric names the
+    first node that is not finite, not positive definite or above
+    ``CONDITION_CAP``.  L^-T L^-1 is formed from the transposed view of L^-1."""
+    stack = g.reshape((-1,) + g.shape[-2:])
+    for i, m in enumerate(stack):
+        node = tuple(int(j) for j in np.unravel_index(i, g.shape[:-2]))
+        where = f" at node {node}" if node else ""
+        if not np.all(np.isfinite(m)):
+            raise SingularMetric(f"matrix has a non-finite entry{where}")
+        w = np.linalg.eigvalsh(m)
+        if not w[0] > 0.0:
+            raise SingularMetric(f"matrix is not positive definite{where}")
+        if not w[-1] / CONDITION_CAP <= w[0]:
+            raise SingularMetric(f"condition number above {CONDITION_CAP:g}{where} "
+                                 f"(eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
+    try:
+        low_inv = np.linalg.inv(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric("matrix is not positive definite") from exc
+    return np.swapaxes(low_inv, -1, -2) @ low_inv, float(np.min(np.linalg.eigvalsh(g)[..., 0]))
 
 
 def roll_deriv(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bundleflow import integrate
 from bundleflow.bakry_emery import (BEState, be_factor, be_integrate, be_rhs, be_step,
                                     gradient_bound, monitors)
 from bundleflow.diffgeo import christoffel_field, ricci_field_with_defect, spd_inverse
@@ -118,10 +119,10 @@ class TestBeIntegrate:
         assert trace.stop_reason == "Horizon"
         assert np.max(np.abs(trace.states[-1].g.values - g.values)) < 1e-12
 
-    def test_extinction_guard_reason(self):
+    def test_extinction_guard_reason(self, monkeypatch):
+        monkeypatch.setattr(integrate, "EXTINCTION_RATIO", 0.999999)
         _, g, f, _ = flat_setup(res=16, amp=0.1)
-        trace = be_integrate(BEState(g, f, 5), dt=0.01, t_end=1.0,
-                             extinction_ratio=0.999999)
+        trace = be_integrate(BEState(g, f, 5), dt=0.01, t_end=1.0)
         assert trace.stop_reason == "ExtinctionGuard"
 
     def test_monotone_min_scalar_short(self):

@@ -13,8 +13,8 @@ from bundleflow.diffgeo import (CONDITION_CAP, CoordinateMetric, _ricci_from_gam
                                 ricci_with_defect, spd_factor, spd_inverse)
 from bundleflow.errors import SingularMetric
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField, deriv, grad
-from scalar_reference import (drift_laplacian_field, grad_norm_sq_field, laplacian_field,
-                              roll_ricci_field)
+from scalar_reference import (drift_laplacian_field, eig_spd_factor, grad_norm_sq_field,
+                              laplacian_field, roll_ricci_field)
 
 FLAT2 = CoordinateMetric(2, lambda p: np.eye(2), name="flat")
 HYPERBOLIC = CoordinateMetric(2, lambda p: np.diag([1.0, 1.0]) / p[1] ** 2, name="half-plane")
@@ -242,6 +242,22 @@ class TestSpdInverse:
         with pytest.raises(SingularMetric, match=r"at node \(3, 5\).*1\.000e-13"):
             spd_inverse(grid)
 
+    def test_factor_maps_a_failed_eigensolve_to_singular_metric(self, monkeypatch):
+        # the gate accepts the identity stack without an eigensolve; the
+        # first eigensolve (spd_factor's) fails, the one naming a node runs
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def fails_once(a):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_once)
+        with pytest.raises(SingularMetric, match="not positive definite"):
+            spd_factor(np.broadcast_to(np.eye(2), (4, 2, 2)).copy())
+        assert calls == [(4, 2, 2), (4, 2, 2)]
+
     # A node's kind, and for SPD nodes log10 of its smallest eigenvalue and of
     # its eigenvalue ratio: magnitudes span 200 decades, ratios straddle the cap.
     _NODE = st.tuples(st.sampled_from(["spd"] * 6 + ["indefinite", "nan", "inf", "-inf"]),
@@ -296,10 +312,13 @@ class TestSpdInverse:
     @given(d=st.integers(1, 4), nodes=st.lists(st.one_of(_NODE, _NEAR_CAP), min_size=1,
                                                max_size=6),
            single=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_stage_inverse_matches_factor_exactly(self, d, nodes, single, seed):
+    def test_gate_matches_eigensolve_first_reference(self, d, nodes, single, seed):
         """``spd_inverse`` skips the eigensolve where the Frobenius bound
-        allows; its accept/reject decision, message and inverse bits are
-        those of ``spd_factor``, and it lets no RuntimeWarning escape."""
+        allows, and ``spd_factor`` adds one for the smallest eigenvalue; the
+        accept/reject decision, message, inverse bits and smallest eigenvalue
+        of both are those of the eigensolve-first reference, whose L^-T L^-1
+        multiplies the transposed view that the gate copies first.  Neither
+        lets a RuntimeWarning escape."""
         rng = np.random.default_rng(seed)
         stack = []
         for kind, low, spread in nodes:
@@ -315,35 +334,36 @@ class TestSpdInverse:
             stack.append(m)
         g = stack[0] if single else np.array(stack)
 
-        def outcome(invert):
-            try:
-                return invert(g).tobytes()
-            except SingularMetric as exc:
-                return str(exc)
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert outcome(spd_inverse) == outcome(lambda a: spd_factor(a)[0])
+            expected = spd_outcome(eig_spd_factor, g)
+            assert spd_outcome(spd_factor, g) == expected
+            assert spd_outcome(spd_inverse, g)[0] == expected[0]
 
-
-    def test_stage_inverse_matches_factor_at_the_cap(self):
+    def test_gate_matches_reference_at_the_cap(self):
         # 2 x 2 nodes within 0.03 % of the cap, where ||g||_F ||g^-1||_F is
         # within rounding of the eigenvalue ratio: a bound accepted up to the
-        # cap itself, with no margin, would disagree with spd_factor here.
+        # cap itself, with no margin, would disagree with the reference here.
         rng = np.random.default_rng(12)
         q = np.linalg.qr(rng.normal(size=(2000, 2, 2)))[0]
         low = rng.uniform(-100.0, 100.0, size=2000)
         w = 10.0 ** np.stack([low, low + self._CAP + rng.uniform(-1e-4, 1e-4, size=2000)], -1)
         stack = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
         for g in 0.5 * (stack + np.swapaxes(stack, -1, -2)):
-            try:
-                expected = spd_factor(g)[0].tobytes()
-            except SingularMetric as exc:
-                expected = str(exc)
-            try:
-                assert spd_inverse(g).tobytes() == expected
-            except SingularMetric as exc:
-                assert str(exc) == expected
+            expected = spd_outcome(eig_spd_factor, g)
+            assert spd_outcome(spd_factor, g) == expected
+            assert spd_outcome(spd_inverse, g)[0] == expected[0]
+
+
+def spd_outcome(invert, g):
+    """(inverse bytes, smallest eigenvalue or None) of ``invert(g)``, or its
+    SingularMetric message and None."""
+    try:
+        out = invert(g)
+    except SingularMetric as exc:
+        return str(exc), None
+    inv, lowest = out if isinstance(out, tuple) else (out, None)
+    return inv.tobytes(), lowest
 
 
 def random_metric_field(d: int, seed: int) -> MetricField:

@@ -199,18 +199,20 @@ class TestFixedStepDriver:
         if isinstance(first, BundleState):
             assert min_eig(first.Q.values) > 0.0
 
-    def test_step_rejected_after_max_halvings(self):
+    def test_step_rejected_after_max_halvings(self, monkeypatch):
+        monkeypatch.setattr(integrate, "MAX_HALVINGS", 0)
         with pytest.raises(StepRejected):
-            be_step(be_factor(density_state()), 2.5, max_halvings=0)
+            be_step(be_factor(density_state()), 2.5)
         with pytest.raises(StepRejected):
-            run_bundle(5.0, 5.0, c_cfl=1e9, max_halvings=0)
+            run_bundle(5.0, 5.0, c_cfl=1e9)
 
     @pytest.mark.parametrize("run, kwargs", [
         (run_density, {"N": 5, "dt": 0.01, "extinction_ratio": 0.98}),
         (run_bundle, {"dt": 5e-3, "extinction_ratio": 0.99}),
     ])
-    def test_extinction_guard_records_crossing_state(self, run, kwargs):
-        ratio = kwargs["extinction_ratio"]
+    def test_extinction_guard_records_crossing_state(self, monkeypatch, run, kwargs):
+        ratio = kwargs.pop("extinction_ratio")
+        monkeypatch.setattr(integrate, "EXTINCTION_RATIO", ratio)
         states, reason = run(kwargs.pop("dt"), 1.0, record_every=3, **kwargs)
         assert reason == "ExtinctionGuard"
 
@@ -245,15 +247,18 @@ class TestFixedStepDriver:
         flow_rhs_from_data(grid_data(*heisenberg_bundle_fields(1, 1.0)))
         assert counts == {"spd_inverse": 2, "christoffel_field": 1}
         # In a step, k1 reuses the accepted state's factorization, so only
-        # stages 2-4 invert; the density step also builds its result's stage
-        # geometry, which the next k1 and the monitors share.
+        # stages 2-4 and the accepted result invert (the result through
+        # spd_factor's call of the gate); the density step also builds its
+        # result's stage geometry, which the next k1 and the monitors share.
         cur = be_factor(density_state(N=5))
         counts.clear()
         be_step(cur, 1e-3)
-        assert counts == {"spd_inverse": 3, "christoffel_field": 4}
+        assert counts == {"spd_inverse": 4, "christoffel_field": 4}
+        s = bundle_state()
+        cur = bundle._accepted(s, diffgeo.spd_factor(s.g.values), diffgeo.spd_factor(s.Q.values))
         counts.clear()
-        run_bundle(1e-3, 1e-3)
-        assert counts == {"spd_inverse": 6, "christoffel_field": 4}
+        bundle._bundle_step(cur, 1e-3)
+        assert counts == {"spd_inverse": 8, "christoffel_field": 4}
 
     def test_stages_make_no_roll_or_trace_call(self, monkeypatch, grid_data):
         # stencils gather through the chart's neighbour indices and traces are

@@ -67,14 +67,6 @@ class TestRoundTrip:
         assert len(back) == 0
         assert list(back.columns) == ["t", "u"]
 
-    def test_wall_time_never_written(self, tmp_path):
-        trace = FlowTrace({"t": [0.0]}, {"wall_time_s": "1.23", "keep": "yes"})
-        path = tmp_path / "wt.csv"
-        write_trace(trace, str(path))
-        text = path.read_text()
-        assert "wall_time" not in text
-        assert "keep" in text
-
     def test_deterministic_bytes(self, tmp_path):
         trace = FlowTrace({"t": [0.0, 0.1], "u": [1 / 3, 2 / 7]}, {"a": "b"})
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
