@@ -30,9 +30,12 @@ import numpy as np
 from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import BlowupTime, DomainError
 from .grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
-from .integrate import Accepted, fixed_step_integrate, rk4_halving
+from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
 
 DEFAULT_K_VALUES = (0, 1)
+START_RESOLUTION = 32
+START_EXTENT = 2.0 * math.pi
+START_AMPLITUDE = 0.1
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,17 @@ class BEState:
     def inv_excess(self) -> float:
         """1 / (N - n); exactly zero for N = infinity."""
         return 0.0 if math.isinf(self.N) else 1.0 / (self.N - self.n)
+
+
+def sine_density_start(N: float, amplitude: float = START_AMPLITUDE,
+                       resolution: int = START_RESOLUTION, extent: float = START_EXTENT):
+    """The identity metric and the density amplitude * sin(2 pi x / extent) on
+    a resolution^2 chart of period extent: the start of ``flow-be`` and of the
+    bakry-emery check."""
+    chart = PeriodicChart((extent, extent), (resolution, resolution))
+    x = chart.grid_coords()[..., 0]
+    g = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
+    return BEState(g, ScalarField(chart, amplitude * np.sin(2.0 * np.pi * x / extent)), N)
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,7 @@ class BETrace:
 
 
 def be_integrate(s0: BEState, dt: float, t_end: float, k_values=DEFAULT_K_VALUES,
-                 c_cfl: float = 0.2, record_every: int = 1) -> BETrace:
+                 c_cfl: float = DEFAULT_C_CFL, record_every: int = 1) -> BETrace:
     """Integrate the density flow with ``integrate.fixed_step_integrate``,
     recording states and their monitors.  The extinction guard watches the
     smallest eigenvalue of g."""

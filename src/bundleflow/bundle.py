@@ -33,7 +33,7 @@ from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import DimensionMismatch, DomainError
 from .grids import (ConnectionField, MetricField, PeriodicChart, QField, ScalarField, deriv,
                     grad, require_same_chart, second_derivs)
-from .integrate import Accepted, fixed_step_integrate, rk4_halving
+from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
 
 BLOCK_SYMMETRY_TOL = 1e-10
 
@@ -59,14 +59,17 @@ class StructureConstants:
         if np.max(np.abs(jac)) > 1e-12:
             raise DomainError("structure constants violate the Jacobi identity")
 
-    @property
+    # c is read-only, so what is read from it is computed once per instance
+    @functools.cached_property
     def is_abelian(self) -> bool:
-        return not np.any(self.c)
+        return not self.c.any()
 
-    @property
+    @functools.cached_property
     def trace_vector(self) -> np.ndarray:
-        """h_m = c_um^u; zero exactly for unimodular groups."""
-        return np.einsum("umu->m", self.c)
+        """h_m = c_um^u, read-only; zero exactly for unimodular groups."""
+        h = np.einsum("umu->m", self.c)
+        h.setflags(write=False)
+        return h
 
     @classmethod
     @functools.cache
@@ -163,19 +166,20 @@ class RicciBlocks:
 
     @property
     def fiber_asymmetry(self) -> float:
-        return float(np.max(np.abs(self.fiber - np.swapaxes(self.fiber, -1, -2))))
+        return float(np.abs(self.fiber - np.swapaxes(self.fiber, -1, -2)).max())
 
     @property
     def base_asymmetry(self) -> float:
-        return float(np.max(np.abs(self.base - np.swapaxes(self.base, -1, -2))))
+        return float(np.abs(self.base - np.swapaxes(self.base, -1, -2)).max())
 
     def check_symmetry(self) -> "RicciBlocks":
-        tol = BLOCK_SYMMETRY_TOL * (1.0 + max(float(np.max(np.abs(self.fiber))),
-                                              float(np.max(np.abs(self.base)))))
-        if self.fiber_asymmetry > tol or self.base_asymmetry > tol:
+        fiber, base = self.fiber_asymmetry, self.base_asymmetry
+        tol = BLOCK_SYMMETRY_TOL * (1.0 + max(float(np.abs(self.fiber).max()),
+                                              float(np.abs(self.base).max())))
+        if fiber > tol or base > tol:
             raise DomainError(
                 f"assembled Ricci blocks are asymmetric beyond {BLOCK_SYMMETRY_TOL:g} "
-                f"(fiber {self.fiber_asymmetry:.3e}, base {self.base_asymmetry:.3e})")
+                f"(fiber {fiber:.3e}, base {base:.3e})")
         return self
 
 
@@ -425,7 +429,7 @@ def _bundle_step(cur: Accepted, dt: float) -> Accepted:
 
 
 def bundle_integrate(state0: BundleState, dt: float, t_end: float,
-                     record_every: int = 1, c_cfl: float = 0.2):
+                     record_every: int = 1, c_cfl: float = DEFAULT_C_CFL):
     """Integrate the torus-bundle flow on a periodic chart with
     ``integrate.fixed_step_integrate``.  The extinction guard watches the
     smallest eigenvalues of g and of Q.  Returns (records, stop_reason), each

@@ -1,10 +1,10 @@
 """Catalog of reference geometries: the one module that knows their bundle decomposition.
 
 Each constructor returns a :class:`CatalogEntry` holding the reduced-flow
-initial data, the recorded value of the conserved quantity, and, where an
-explicit coordinate form exists, the total-space metric used by the
-finite-difference curvature oracle and the pointwise bundle data with the
-gauge of that metric.  Constructors build no grid fields.
+initial data and, where an explicit coordinate form exists, the
+total-space metric used by the finite-difference curvature oracle and the
+pointwise bundle data with the gauge of that metric.  Constructors build
+no grid fields.
 
 Geometries: anisotropic metrics on the 3-sphere (circle fibers over a round
 2-sphere), their hyperbolic counterparts on the universal cover of the
@@ -23,7 +23,9 @@ from .bundle import PointwiseBundleData, StructureConstants
 from .diffgeo import CoordinateMetric
 from .errors import DomainError
 from .grids import ConnectionField, MetricField, PeriodicChart, QField
-from .kahler_einstein import KEParams, KEState, closed_form_flat, psi_cleared
+from .kahler_einstein import KEParams, KEState, closed_form_flat
+
+BUNDLE_RESOLUTION = 16   # nodes per axis of the Heisenberg bundle fields (4-D charts: 8)
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,10 @@ class CatalogEntry:
     name: str
     ke_params: KEParams
     ke_state0: KEState
-    implicit_constant: Optional[float] = None
-    invariant_value: Optional[float] = None
     total_metric: Optional[CoordinateMetric] = None
     bundle_at: Optional[Callable[[np.ndarray], tuple[PointwiseBundleData, np.ndarray]]] = None
     sample_point: Optional[tuple[float, ...]] = None
     closed_form: Optional[Callable[[float], KEState]] = None
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +100,15 @@ def berger_total_metric(lambda1: float, lambda2: float) -> CoordinateMetric:
 
 def berger(lambda1: float, lambda2: float) -> CatalogEntry:
     """Circle-fibered 3-sphere: base = round 2-sphere with Einstein constant 2,
-    u0 = lambda2^2 / 2, e^{-2 f0} = lambda1^2."""
+    u0 = lambda2^2 / 2, e^{-2 f0} = lambda1^2.  For lambda1 > lambda2 the
+    fractional-power base of Psi is negative at t = 0, so the cleared form
+    is the monitor."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise DomainError("both metric coefficients must be positive")
-    params = KEParams(n=1, lam=2.0)
-    state0 = KEState(u=lambda2 ** 2 / 2.0, f=-np.log(lambda1))
-    if lambda2 >= lambda1:
-        constant = np.sqrt(lambda2 ** 2 - lambda1 ** 2) / (lambda1 ** 2 * lambda2)
-        notes = ""
-    else:
-        constant = None
-        notes = ("fractional-power base negative at t = 0 for lambda1 > lambda2; "
-                 "conservation monitored through the cleared form")
     return CatalogEntry(
-        name="berger", ke_params=params, ke_state0=state0,
-        implicit_constant=None if constant is None else float(constant),
-        invariant_value=psi_cleared(state0, params),
-        total_metric=berger_total_metric(lambda1, lambda2),
-        notes=notes)
+        name="berger", ke_params=KEParams(n=1, lam=2.0),
+        ke_state0=KEState(u=lambda2 ** 2 / 2.0, f=-np.log(lambda1)),
+        total_metric=berger_total_metric(lambda1, lambda2))
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +117,12 @@ def berger(lambda1: float, lambda2: float) -> CatalogEntry:
 
 def sl2r(lambda1: float, lambda2: float) -> CatalogEntry:
     """Circle-fibered hyperbolic analogue: Einstein constant -4,
-    u0 = lambda2^2, f0 = -log(lambda1)."""
+    u0 = lambda2^2, f0 = -log(lambda1).  No total-space metric is recorded,
+    so the reduced flow is checked through its conserved quantity only."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise DomainError("both metric coefficients must be positive")
-    params = KEParams(n=1, lam=-4.0)
-    state0 = KEState(u=lambda2 ** 2, f=-np.log(lambda1))
-    constant = np.sqrt(lambda1 ** 2 + 4.0 * lambda2 ** 2) / (2.0 * lambda1 ** 2 * lambda2)
-    return CatalogEntry(
-        name="sl2r", ke_params=params, ke_state0=state0,
-        implicit_constant=float(constant),
-        invariant_value=psi_cleared(state0, params),
-        notes=("no total-space metric is recorded, so the curvature oracle is "
-               "skipped for this entry and the reduced flow is validated through "
-               "its conserved quantity only"))
+    return CatalogEntry(name="sl2r", ke_params=KEParams(n=1, lam=-4.0),
+                        ke_state0=KEState(u=lambda2 ** 2, f=-np.log(lambda1)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +146,7 @@ def heisenberg_total_metric(n: int, c: float) -> CoordinateMetric:
     return CoordinateMetric(2 * n + 1, evaluate, name=f"heisenberg({n},{c:g})")
 
 
-def heisenberg_bundle_fields(n: int, c: float, resolution: int = 16):
+def heisenberg_bundle_fields(n: int, c: float, resolution: int = BUNDLE_RESOLUTION):
     """Flat Euclidean base fields on [-1, 1)^(2n) with the linear gauge a^1_{y_i} = -x_i."""
     d = 2 * n
     res = min(resolution, 8) if d >= 4 else resolution
@@ -218,9 +201,7 @@ def heisenberg(n: int, c: float) -> CatalogEntry:
         total_metric=heisenberg_total_metric(n, c),
         bundle_at=bundle_at,
         sample_point=(0.3,) * n + (-0.2,) * n + (0.5,),
-        closed_form=closed,
-        notes="Ricci-flat base; flow in closed form, "
-              "fiber coefficient c(t) = c / sqrt(1 + (n+2) c^2 t)")
+        closed_form=closed)
 
 
 def heisenberg_c_of_t(n: int, c: float, t) -> np.ndarray:
@@ -274,14 +255,12 @@ def sol3_pointwise_data(a: float, c: float, x: float) -> PointwiseBundleData:
 
 
 def sol3(a: float, c: float) -> CatalogEntry:
+    """Conserved relation e^{4f} + a e^{2f} / u = 1 + a^2 / c."""
     if a == 0:
         raise DomainError("a = 0 is the direct-product case with a flat connection: "
                           "u = u0 - 2 lambda t in closed form, no reduced flow to run")
     if a < 0 or c <= 0:
         raise DomainError("need a > 0 and c > 0")
-    params = KEParams(n=1, lam=-1.0 / a)
-    state0 = KEState(u=c / a, f=0.0)
-    inv = 1.0 + a * a / c
 
     def bundle_at(point):
         # gauge of sol3_total_metric: a^1_y = a / x
@@ -289,13 +268,10 @@ def sol3(a: float, c: float) -> CatalogEntry:
         return sol3_pointwise_data(a, c, x), np.array([[0.0, a / x]])
 
     return CatalogEntry(
-        name="sol3", ke_params=params, ke_state0=state0,
-        implicit_constant=float(np.sqrt(inv)),
-        invariant_value=float(inv),
+        name="sol3", ke_params=KEParams(n=1, lam=-1.0 / a), ke_state0=KEState(u=c / a, f=0.0),
         total_metric=sol3_total_metric(a, c),
         bundle_at=bundle_at,
-        sample_point=(1.3, 0.2, 0.1),
-        notes="conserved relation e^{4f} + a e^{2f}/u = 1 + a^2/c")
+        sample_point=(1.3, 0.2, 0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,9 @@
     bundleflow <command> --config <path> [--out <dir>] [--check <name>]
 
 Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
-configuration is a single JSON document validated strictly before any work
-starts: unknown keys are rejected (also inside 'params' and 'style', and
-inside 'numerics' every key the command does not read), every numerics
-value and geometry parameter is type- and range-checked (dt, t_end, c_cfl,
-tol, h, extent finite and positive, record_every an integer >= 1,
-resolution an integer >= 8), 'geometry' must name a catalog entry,
-'outputs' must map to paths, 'style' to strings, 'point' must be a list of
-finite numbers, and 'checks' must be a list of names.  Exit codes: 0
+configuration is a single JSON document that ``load_config`` validates
+strictly before any work starts (the README lists every rule).  ``_SCHEMA``
+holds each command's keys and its numerics defaults.  Exit codes: 0
 success, 2 configuration error, 3 numeric failure, 4 verification failure.
 """
 
@@ -28,29 +23,36 @@ from . import __version__
 from . import bakry_emery as be
 from . import kahler_einstein as ke
 from .bundle import BundleState, blocks_to_chart, bundle_integrate, ricci_blocks_torus
-from .catalog import CONSTRUCTORS, by_name, heisenberg_bundle_fields
-from .diffgeo import ricci_with_defect
+from .catalog import BUNDLE_RESOLUTION, CONSTRUCTORS, by_name, heisenberg_bundle_fields
+from .diffgeo import DEFAULT_ORACLE_STEP, ricci_with_defect
 from .errors import BundleFlowError, ConfigError, DomainError, EmptyInput
-from .grids import MIN_RESOLUTION, MetricField, PeriodicChart, ScalarField
+from .grids import MIN_RESOLUTION
+from .integrate import DEFAULT_C_CFL, DEFAULT_TOL, EXTINCTION_RATIO
 from .svgplot import render_phase_portrait
 from .traces import FlowTrace, atomic_write_text, read_trace, reduced_flow_trace, write_trace
 from .verify import CHECKS, run_check
 
 COMMANDS = ("curvature", "flow-ode", "flow-be", "flow-bundle", "verify", "plot")
+T_END = 1.0
 
+# each command's config keys and its numerics keys with their defaults
 _SCHEMA = {
     "curvature": {"required": {"command", "geometry", "params"},
                   "optional": {"numerics", "outputs", "point"},
-                  "numerics": ("h",)},
+                  "numerics": {"h": DEFAULT_ORACLE_STEP}},
     "flow-ode": {"required": {"command", "geometry", "params"},
                  "optional": {"numerics", "outputs"},
-                 "numerics": ("t_end", "tol", "extinction_ratio")},
+                 "numerics": {"t_end": T_END, "tol": DEFAULT_TOL,
+                              "extinction_ratio": EXTINCTION_RATIO}},
     "flow-be": {"required": {"command", "params"},
                 "optional": {"numerics", "outputs"},
-                "numerics": ("resolution", "extent", "dt", "t_end", "c_cfl", "record_every")},
+                "numerics": {"resolution": be.START_RESOLUTION, "extent": be.START_EXTENT,
+                             "dt": 1.0, "t_end": T_END, "c_cfl": DEFAULT_C_CFL,
+                             "record_every": 1}},
     "flow-bundle": {"required": {"command", "geometry", "params"},
                     "optional": {"numerics", "outputs"},
-                    "numerics": ("resolution", "dt", "t_end", "c_cfl", "record_every")},
+                    "numerics": {"resolution": BUNDLE_RESOLUTION, "dt": 5e-3, "t_end": T_END,
+                                 "c_cfl": DEFAULT_C_CFL, "record_every": 5}},
     "verify": {"required": {"command"}, "optional": {"checks", "outputs"}},
     "plot": {"required": {"command", "inputs"}, "optional": {"style", "outputs"}},
 }
@@ -73,7 +75,7 @@ def _finite_positive(value) -> bool:
     return _is_number(value) and math.isfinite(value) and value > 0
 
 
-# numerics key -> (accepts the value, what it must be); absent keys take valid defaults
+# numerics key -> (accepts the value, what it must be); absent keys take the defaults
 _NUMERICS = {
     "dt": (_finite_positive, "a finite number > 0"),
     "t_end": (_finite_positive, "a finite number > 0"),
@@ -140,7 +142,7 @@ def load_config(path: str) -> dict:
     numerics = cfg.get("numerics", {})
     if not isinstance(numerics, dict):
         raise ConfigError("'numerics' must be an object")
-    allowed = schema.get("numerics", ())
+    allowed = schema.get("numerics", {})
     bad = set(numerics) - set(allowed)
     if bad:
         raise ConfigError(f"unknown numerics keys for {command}: {sorted(bad)}; "
@@ -177,6 +179,22 @@ def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> str:
     return path
 
 
+def _write_flow(cfg: dict, out_dir: str | None, flow: FlowTrace, default: str, stop: str) -> int:
+    """Write a flow command's trace to ``outputs.trace`` (else ``default``) and report it."""
+    path = _out_path(cfg, out_dir, "trace", default)
+    write_trace(flow, path)
+    print(f"{cfg['command']}: {len(flow)} rows, stop={stop}, wrote {path}")
+    return 0
+
+
+def _numerics(cfg: dict) -> dict:
+    """The command's numerics: each default of its table, or the config's
+    value converted to the default's type."""
+    given = cfg.get("numerics", {})
+    return {key: type(default)(given.get(key, default))
+            for key, default in _SCHEMA[cfg["command"]]["numerics"].items()}
+
+
 def _geometry_entry(cfg: dict):
     try:
         return by_name(cfg["geometry"], cfg.get("params", {}))
@@ -186,27 +204,21 @@ def _geometry_entry(cfg: dict):
 
 def cmd_flow_ode(cfg: dict, out_dir: str | None) -> int:
     entry = _geometry_entry(cfg)
-    num = cfg.get("numerics", {})
-    trace = ke.ke_integrate(entry.ke_state0, entry.ke_params,
-                            t_end=float(num.get("t_end", 1.0)),
-                            tol=float(num.get("tol", 1e-9)),
-                            extinction_ratio=float(num.get("extinction_ratio", 1e-6)))
+    num = _numerics(cfg)
+    trace = ke.ke_integrate(entry.ke_state0, entry.ke_params, num["t_end"], tol=num["tol"],
+                            extinction_ratio=num["extinction_ratio"])
     meta = {"command": "flow-ode", "geometry": cfg["geometry"], "version": __version__,
             "config": json.dumps(cfg, sort_keys=True)}
     for key, value in sorted(cfg.get("params", {}).items()):
         meta[key] = format(value, "g") if isinstance(value, float) else str(value)
-    flow = reduced_flow_trace(trace, meta)
-    path = _out_path(cfg, out_dir, "trace", "trace.csv")
-    write_trace(flow, path)
-    print(f"flow-ode: {len(flow)} rows, stop={trace.stop_reason}, wrote {path}")
-    return 0
+    return _write_flow(cfg, out_dir, reduced_flow_trace(trace, meta), "trace.csv",
+                       trace.stop_reason)
 
 
 def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     geometry = cfg["geometry"]
     params = cfg.get("params", {})
-    num = cfg.get("numerics", {})
-    h = float(num.get("h", 1e-3))
+    h = _numerics(cfg)["h"]
     entry = _geometry_entry(cfg)
     if entry.bundle_at is None:
         raise ConfigError(f"curvature needs a pointwise bundle decomposition, "
@@ -245,41 +257,29 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
 
 def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
     params = cfg.get("params", {})
-    num = cfg.get("numerics", {})
+    num = _numerics(cfg)
     n_value = params.get("N", "inf")
-    n_float = np.inf if n_value in ("inf", "Infinity", None) else float(n_value)
-    res = int(num.get("resolution", 32))
-    extent = float(num.get("extent", 2.0 * np.pi))
-    amplitude = float(params.get("amplitude", 0.1))
-    chart = PeriodicChart((extent, extent), (res, res))
-    x = chart.grid_coords()[..., 0]
-    f0 = ScalarField(chart, amplitude * np.sin(2.0 * np.pi * x / extent))
-    g0 = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
-    k_values = tuple(int(k) for k in params.get("k", (0, 1)))
-    trace = be.be_integrate(be.BEState(g0, f0, n_float),
-                            dt=float(num.get("dt", 1.0)),
-                            t_end=float(num.get("t_end", 1.0)),
-                            k_values=k_values,
-                            c_cfl=float(num.get("c_cfl", 0.2)),
-                            record_every=int(num.get("record_every", 1)))
+    amplitude = float(params.get("amplitude", be.START_AMPLITUDE))
+    state0 = be.sine_density_start(
+        np.inf if n_value in ("inf", "Infinity", None) else float(n_value),
+        amplitude, resolution=num["resolution"], extent=num["extent"])
+    k_values = tuple(int(k) for k in params.get("k", be.DEFAULT_K_VALUES))
+    trace = be.be_integrate(state0, num["dt"], num["t_end"], k_values=k_values,
+                            c_cfl=num["c_cfl"], record_every=num["record_every"])
     columns = {"t": trace.times}
     for k in k_values:
         columns[f"min_tildeS_{k}"] = np.array([m.min_tildeS[k] for m in trace.monitors])
     columns["max_grad_f_sq"] = np.array([m.max_grad_f_sq for m in trace.monitors])
     meta = {"command": "flow-be", "N": str(n_value), "amplitude": format(amplitude, "g"),
-            "resolution": str(res), "stop_reason": trace.stop_reason,
+            "resolution": str(num["resolution"]), "stop_reason": trace.stop_reason,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
-    flow = FlowTrace(columns, meta)
-    path = _out_path(cfg, out_dir, "trace", "trace_be.csv")
-    write_trace(flow, path)
-    print(f"flow-be: {len(flow)} rows, stop={trace.stop_reason}, wrote {path}")
-    return 0
+    return _write_flow(cfg, out_dir, FlowTrace(columns, meta), "trace_be.csv", trace.stop_reason)
 
 
 def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
     geometry = cfg["geometry"]
     params = cfg.get("params", {})
-    num = cfg.get("numerics", {})
+    num = _numerics(cfg)
     if geometry != "heisenberg":
         raise ConfigError("flow-bundle currently drives the flat-base circle-bundle "
                           "configuration; use geometry 'heisenberg'")
@@ -290,13 +290,10 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
     c = float(params.get("c", 1.0))
     if c <= 0:
         raise ConfigError(f"params.c must be positive, got {c:g}")
-    g0, q0, a0 = heisenberg_bundle_fields(n, c, resolution=int(num.get("resolution", 16)))
+    g0, q0, a0 = heisenberg_bundle_fields(n, c, resolution=num["resolution"])
     origin = (0,) * (g0.chart.dims + 2)
-    states, stop = bundle_integrate(BundleState(g0, q0, a0, 0.0),
-                                    dt=float(num.get("dt", 5e-3)),
-                                    t_end=float(num.get("t_end", 1.0)),
-                                    record_every=int(num.get("record_every", 5)),
-                                    c_cfl=float(num.get("c_cfl", 0.2)))
+    states, stop = bundle_integrate(BundleState(g0, q0, a0, 0.0), num["dt"], num["t_end"],
+                                    record_every=num["record_every"], c_cfl=num["c_cfl"])
     columns = {
         "t": np.array([s.t for s in states]),
         "g_xx_origin": np.array([s.g.values[origin] for s in states]),
@@ -306,11 +303,7 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
     }
     meta = {"command": "flow-bundle", "geometry": geometry, "stop_reason": stop,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
-    flow = FlowTrace(columns, meta)
-    path = _out_path(cfg, out_dir, "trace", "trace_bundle.csv")
-    write_trace(flow, path)
-    print(f"flow-bundle: {len(flow)} rows, stop={stop}, wrote {path}")
-    return 0
+    return _write_flow(cfg, out_dir, FlowTrace(columns, meta), "trace_bundle.csv", stop)
 
 
 def cmd_verify(cfg: dict, out_dir: str | None, only_check: str | None) -> int:

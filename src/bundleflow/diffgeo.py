@@ -24,7 +24,6 @@ from ``d_l Gamma^l_{bc} - d_b Gamma^l_{lc} + Gamma^l_{ln} Gamma^n_{bc}
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,37 +124,27 @@ def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 # pointwise oracle (nested finite differences around a point)
 # ---------------------------------------------------------------------------
 
+def _central(fn: Callable, p: np.ndarray, h: float, d: int) -> np.ndarray:
+    """(fn(p + h e_a) - fn(p - h e_a)) / (2 h) for each coordinate axis a, stacked."""
+    return np.stack([(fn(p + e) - fn(p - e)) / (2.0 * h) for e in h * np.eye(d)])
+
+
 def christoffel(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
     """Christoffel symbols at a coordinate point."""
     h = step or DEFAULT_ORACLE_STEP
     p = np.asarray(p, dtype=float)
-    d = m.dims
-    g_inv = spd_inverse(m(p))
-    dg = np.zeros((d, d, d))
-    for b in range(d):
-        e = np.zeros(d)
-        e[b] = h
-        dg[b] = (m(p + e) - m(p - e)) / (2.0 * h)
-    return _christoffel_from_dg(g_inv, dg)
-
-
-def _symmetrized_with_defect(ric: np.ndarray):
-    """(ric + ric^T) / 2 and max |ric - ric^T| per node, taken slice by slice
-    (several times faster than a reduction over two short trailing axes)."""
-    ric_t = np.swapaxes(ric, -1, -2)
-    asym = np.abs(ric - ric_t)
-    d = ric.shape[-1]
-    return 0.5 * (ric + ric_t), functools.reduce(
-        np.maximum, (asym[..., b, c] for b in range(d) for c in range(d)))
+    return _christoffel_from_dg(spd_inverse(m(p)), _central(m, p, h, m.dims))
 
 
 def _ricci_from_gamma(gamma: np.ndarray, dgamma: np.ndarray):
-    """Raw Ricci from Gamma and dGamma[..., m, l, b, c] = d_m Gamma^l_{bc}."""
+    """Symmetrized Ricci from Gamma and dGamma[..., m, l, b, c] = d_m Gamma^l_{bc},
+    and max |Ric - Ric^T| of the raw tensor: the oracle's asymmetry defect."""
     ric = (np.einsum("...llbc->...bc", dgamma)
            - np.einsum("...bllc->...bc", dgamma)
            + np.einsum("...lln,...nbc->...bc", gamma, gamma)
            - np.einsum("...lbn,...nlc->...bc", gamma, gamma))
-    return _symmetrized_with_defect(ric)
+    ric_t = np.swapaxes(ric, -1, -2)
+    return 0.5 * (ric + ric_t), np.abs(ric - ric_t).max(axis=(-2, -1))
 
 
 def ricci_with_defect(m: CoordinateMetric, p, step: float | None = None):
@@ -163,14 +152,8 @@ def ricci_with_defect(m: CoordinateMetric, p, step: float | None = None):
     pre-symmetrization asymmetry diagnostic."""
     h = step or DEFAULT_ORACLE_STEP
     p = np.asarray(p, dtype=float)
-    d = m.dims
-    gamma = christoffel(m, p, h)
-    dgamma = np.zeros((d, d, d, d))
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = h
-        dgamma[a] = (christoffel(m, p + e, h) - christoffel(m, p - e, h)) / (2.0 * h)
-    return _ricci_from_gamma(gamma, dgamma)
+    return _ricci_from_gamma(christoffel(m, p, h),
+                             _central(lambda x: christoffel(m, x, h), p, h, m.dims))
 
 
 def ricci(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
@@ -186,11 +169,15 @@ def christoffel_field(chart: PeriodicChart, g: np.ndarray, g_inv: np.ndarray) ->
     return _christoffel_from_dg(g_inv, grad(g, chart))
 
 
-def ricci_field_with_defect(chart: PeriodicChart, gamma: np.ndarray):
-    """Ricci at every node from the Christoffel field, without stacking dGamma:
-    d_l Gamma^l_bc differences one (d, d) slice per axis, d_b Gamma^l_lc
-    differences the trace vector, and Gamma^l_bn Gamma^n_lc is one matmul over
-    the flattened (l, n) pair."""
+def ricci_field_with_defect(chart: PeriodicChart, gamma: np.ndarray) -> np.ndarray:
+    """Symmetrized Ricci at every node from the Christoffel field, without
+    stacking dGamma: d_l Gamma^l_bc differences one (d, d) slice per axis,
+    d_b Gamma^l_lc differences the trace vector, and Gamma^l_bn Gamma^n_lc is
+    one matmul over the flattened (l, n) pair.
+
+    The grid path computes no asymmetry defect (only the pointwise oracle
+    reports one).  The name stays because ``perfbench/tracer.py`` rebinds it;
+    the rename waits for the perfbench change of ROADMAP item 3 or 4."""
     d = chart.dims
     trace = sum(gamma[..., a, a, :] for a in range(d))      # Gamma^l_lc, [c]
     gamma_t = np.swapaxes(gamma, -3, -2).copy()             # [b, l, n] = Gamma^l_bn
@@ -200,14 +187,14 @@ def ricci_field_with_defect(chart: PeriodicChart, gamma: np.ndarray):
               ).reshape(gamma.shape[:-1])
            - gamma_t.reshape(chart.resolution + (d, d * d))
            @ gamma_t.reshape(chart.resolution + (d * d, d)))
-    return _symmetrized_with_defect(ric)
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
 def base_geometry(chart: PeriodicChart, g: np.ndarray, g_inv: np.ndarray):
     """(Gamma, Ric) of the metric array g, whose inverse the caller factored: the
     base geometry of one stage, a single Christoffel field differenced to Ricci."""
     gamma = christoffel_field(chart, g, g_inv)
-    return gamma, ricci_field_with_defect(chart, gamma)[0]
+    return gamma, ricci_field_with_defect(chart, gamma)
 
 
 def hessian_field(chart: PeriodicChart, f: np.ndarray, gamma: np.ndarray,

@@ -60,6 +60,8 @@ MIN_STEP = 1e-14
 MAX_STEPS = 2_000_000
 MAX_HALVINGS = 20
 EXTINCTION_RATIO = 1e-6
+DEFAULT_C_CFL = 0.2     # step cap factor of both grid flows
+DEFAULT_TOL = 1e-9      # relative tolerance of the reduced flows
 
 
 def rk4_step(f: Callable, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
@@ -194,7 +196,7 @@ def _dp_attempt(f: Callable, t: float, y: list, dt: float, k_first: Sequence[flo
 
 def adaptive_rk(f: Callable[[float, list], Sequence[float]],
                 t0: float, y0: Sequence[float], t_end: float,
-                rtol: float = 1e-9, atol: float = 1e-12,
+                rtol: float = DEFAULT_TOL, atol: float = 1e-12,
                 stop: Optional[Callable[[float, list], Optional[str]]] = None,
                 t_eval: Optional[Sequence[float]] = None) -> OdeResult:
     """Integrate y' = f(t, y) from t0 to t_end, recording every accepted step.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LambdaZero, NegativeBase
-from .integrate import EXTINCTION_RATIO, adaptive_rk
+from .integrate import DEFAULT_TOL, EXTINCTION_RATIO, adaptive_rk
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,11 @@ def _psi(u, f, p: KEParams):
 
 
 def _psi_cleared(u, f, p: KEParams):
+    """Psi^((n+1)/n) cleared of the fractional power, lambda != 0:
+    exp(2 f (n+1)/n) - (n+1) exp(2 f / n) / (2 lambda u).  Polynomial in the
+    parenthesis of Psi, hence defined and conserved on every lambda != 0
+    trajectory, including those where Psi's fractional power has a negative
+    base."""
     n = p.n
     return (np.exp(2.0 * f * (n + 1.0) / n)
             - (n + 1.0) * np.exp(2.0 * f / n) / (2.0 * p.lam * u))
@@ -115,7 +120,8 @@ def psi(s: KEState, p: KEParams) -> float:
 
     Raises LambdaZero for a Ricci-flat base (the flat closed form covers it)
     and NegativeBase when the parenthesis is negative, rather than returning
-    a silent NaN; use :func:`psi_cleared` in that regime.
+    a silent NaN; the cleared form (``ReducedTrace.psi_cleared_series``)
+    covers that regime.
     """
     if p.lam == 0:
         raise LambdaZero("Psi is undefined for lambda = 0")
@@ -124,19 +130,6 @@ def psi(s: KEState, p: KEParams) -> float:
         raise NegativeBase(
             f"fractional power base is negative ({base:.6g}); monitor the cleared form")
     return float(value)
-
-
-def psi_cleared(s: KEState, p: KEParams) -> float:
-    """Psi^((n+1)/n) cleared of the fractional power; conserved for any base sign.
-
-    exp(2 f (n+1)/n) - (n+1) exp(2 f / n) / (2 lambda u): polynomial in the
-    parenthesis of Psi, hence defined and conserved on every lambda != 0
-    trajectory, including those where Psi's fractional power has a negative
-    base.
-    """
-    if p.lam == 0:
-        raise LambdaZero("the cleared form is undefined for lambda = 0")
-    return float(_psi_cleared(s.u, s.f, p))
 
 
 def to_lauret(s: KEState, p: KEParams) -> LauretState:
@@ -193,7 +186,7 @@ class ReducedTrace:
         return lambda_invariant(*self.lauret_series())
 
 
-def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
+def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = DEFAULT_TOL,
                  extinction_ratio: float = EXTINCTION_RATIO) -> ReducedTrace:
     """Integrate the reduced flow from s0 with relative tolerance ``tol``.
 
@@ -217,7 +210,7 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = 1e-9,
     return ReducedTrace(p, res.t, res.y[:, 0], res.y[:, 1], res.stop_reason)
 
 
-def lauret_integrate(l0: LauretState, t_end: float, tol: float = 1e-9, t_eval=None):
+def lauret_integrate(l0: LauretState, t_end: float, tol: float = DEFAULT_TOL, t_eval=None):
     """Integrate the (a, b) system; returns (t, a, b, stop_reason)."""
     res = adaptive_rk(lambda t, y: lauret_rhs(*y), l0.t, (l0.a, l0.b), t_end,
                       rtol=tol, atol=tol * 1e-3, t_eval=t_eval)

@@ -5,7 +5,9 @@ density-flow right-hand side.
 inverts; ``diffgeo.spd_inverse`` and ``spd_factor`` must match its decision,
 message, inverse bits and smallest eigenvalue.  The ``roll_*`` stencils are
 the periodic differences written with ``np.roll``; the gathered stencils of
-``grids`` must equal them bit for bit.  Each density operator is built from
+``grids`` must equal them bit for bit.  ``asymmetry_defect`` is the grid
+Ricci's pre-symmetrization defect, which ``diffgeo`` no longer computes on
+the grid.  Each density operator is built from
 ``spd_inverse``, ``christoffel_field`` and the stencils on its own, apart
 from ``bakry_emery.be_stage``, so the tests can hold ``be_rhs`` and the
 monitors against it.
@@ -82,6 +84,11 @@ def roll_ricci_field(chart: PeriodicChart, gamma: np.ndarray) -> np.ndarray:
                ).reshape(gamma.shape[:-1])
             - gamma_t.reshape(chart.resolution + (d, d * d))
             @ gamma_t.reshape(chart.resolution + (d * d, d)))
+
+
+def asymmetry_defect(raw: np.ndarray) -> np.ndarray:
+    """max |Ric - Ric^T| at each node of a raw (unsymmetrized) Ricci field."""
+    return np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), axis=(-1, -2))
 
 
 def laplacian_field(f: ScalarField, m: MetricField) -> np.ndarray:

@@ -38,7 +38,7 @@ class TestRicciFN:
         g = MetricField(chart, gv)
         f = ScalarField(chart, np.full(chart.resolution, 0.7))
         dg, _ = rhs(g, f, 5)
-        ric, _ = ricci_field_with_defect(
+        ric = ricci_field_with_defect(
             chart, christoffel_field(chart, g.values, spd_inverse(g.values)))
         assert np.max(np.abs(dg + 2.0 * ric)) < 1e-12
 

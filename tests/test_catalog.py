@@ -7,9 +7,9 @@ from bundleflow.bundle import blocks_to_chart, ricci_blocks_torus
 from bundleflow.catalog import (berger, by_name, heisenberg, heisenberg_c_of_t, sl2r, sol3,
                                 sol3_pointwise_data)
 from bundleflow.diffgeo import ricci
-from bundleflow.errors import DomainError
+from bundleflow.errors import DomainError, NegativeBase
 from bundleflow.grids import MetricField
-from bundleflow.kahler_einstein import ke_integrate, ke_rhs, psi
+from bundleflow.kahler_einstein import _psi_cleared, ke_integrate, ke_rhs, psi
 
 
 def operator_eigenvalues(metric, point, step=1e-3):
@@ -31,18 +31,18 @@ class TestBerger:
         assert e.ke_params.lam == 2.0
         assert e.ke_state0.u == pytest.approx(0.5)
         assert e.ke_state0.f == pytest.approx(0.0)
-        assert e.implicit_constant == pytest.approx(0.0)
+        assert psi(e.ke_state0, e.ke_params) == pytest.approx(0.0)
 
     def test_anisotropic_initial_data(self):
         e = berger(1.0, 2.0)
         assert e.ke_state0.u == pytest.approx(2.0)
         assert e.ke_state0.f == pytest.approx(0.0)
-        assert e.implicit_constant == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-14)
+        assert psi(e.ke_state0, e.ke_params) == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-14)
 
     def test_flipped_anisotropy_flagged(self):
         e = berger(2.0, 1.0)
-        assert e.implicit_constant is None
-        assert "cleared" in e.notes
+        with pytest.raises(NegativeBase, match="cleared"):
+            psi(e.ke_state0, e.ke_params)
 
     def test_positive_parameters_required(self):
         with pytest.raises(DomainError):
@@ -68,10 +68,10 @@ class TestSl2r:
         e = sl2r(1.0, 1.0)
         assert e.ke_params.lam == -4.0
         assert e.ke_state0.u == pytest.approx(1.0)
-        assert e.implicit_constant == pytest.approx(np.sqrt(5.0) / 2.0, rel=1e-14)
+        assert psi(e.ke_state0, e.ke_params) == pytest.approx(np.sqrt(5.0) / 2.0, rel=1e-14)
         e = sl2r(1.0, 2.0)
         assert e.ke_state0.u == pytest.approx(4.0)
-        assert e.implicit_constant == pytest.approx(np.sqrt(17.0) / 4.0, rel=1e-14)
+        assert psi(e.ke_state0, e.ke_params) == pytest.approx(np.sqrt(17.0) / 4.0, rel=1e-14)
 
     def test_flow_is_immortal(self):
         e = sl2r(1.0, 2.0)
@@ -87,8 +87,7 @@ class TestSl2r:
 
     def test_oracle_skipped_flag(self):
         e = sl2r(1.0, 1.0)
-        assert e.total_metric is None
-        assert "oracle is skipped" in e.notes
+        assert e.total_metric is None and e.bundle_at is None
 
 
 class TestHeisenberg:
@@ -133,8 +132,10 @@ class TestHeisenberg:
 
 class TestSol3:
     def test_invariant_value(self):
-        assert sol3(1.0, 1.0).invariant_value == pytest.approx(2.0)
-        assert sol3(2.0, 1.0).invariant_value == pytest.approx(5.0)
+        for a, value in ((1.0, 2.0), (2.0, 5.0)):
+            e = sol3(a, 1.0)
+            s = e.ke_state0
+            assert _psi_cleared(s.u, s.f, e.ke_params) == pytest.approx(value)
         assert psi(sol3(1.0, 1.0).ke_state0, sol3(1.0, 1.0).ke_params) ** 2 == (
             pytest.approx(2.0, rel=1e-14))
 
