@@ -227,6 +227,18 @@ class TestFixedStepDriver:
         assert len(states) >= 3
         assert states[-1].t - states[-2].t < states[1].t - states[0].t
 
+    def test_extinction_guard_fires_at_equality(self, monkeypatch):
+        # Q of the constant Heisenberg data starts at exactly 1 and shrinks,
+        # so a ratio equal to its smallest eigenvalue after one step puts that
+        # eigenvalue exactly on the guard; "at or below" stops the run there
+        assert min_eig(bundle_state().Q.values) == 1.0
+        first = run_bundle(1e-3, 1e-3)[0][1]
+        assert first.min_eig_q < 1.0 < first.min_eig_g
+        monkeypatch.setattr(integrate, "EXTINCTION_RATIO", first.min_eig_q)
+        states, reason = run_bundle(1e-3, 1.0)
+        assert reason == "ExtinctionGuard"
+        assert [s.min_eig_q for s in states] == [1.0, first.min_eig_q]
+
     @pytest.mark.parametrize("run", [run_density, run_bundle])
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"dt": -1.0}, {"t_end": 0.0}, {"c_cfl": 0.0}, {"c_cfl": -0.1},
