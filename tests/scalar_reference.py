@@ -6,8 +6,8 @@ inverts; ``diffgeo.spd_inverse`` and ``spd_factor`` must match its decision,
 message, inverse bits and smallest eigenvalue.  The ``roll_*`` stencils are
 the periodic differences written with ``np.roll``; the gathered stencils of
 ``grids`` must equal them bit for bit.  ``asymmetry_defect`` is the grid
-Ricci's pre-symmetrization defect, which ``diffgeo`` no longer computes on
-the grid.  Each density operator is built from
+Ricci's pre-symmetrization defect, which ``diffgeo`` computes only for the
+pointwise oracle.  Each density operator is built from
 ``spd_inverse``, ``christoffel_field`` and the stencils on its own, apart
 from ``bakry_emery.be_stage``, so the tests can hold ``be_rhs`` and the
 monitors against it.

@@ -29,6 +29,7 @@ from bundleflow.bundle import (BundleState, bundle_data_from_fields, bundle_inte
 from bundleflow.diffgeo import spd_inverse
 from bundleflow.errors import StepRejected
 from bundleflow.grids import ConnectionField, MetricField, PeriodicChart, QField, ScalarField
+from test_golden import library_build
 
 PIN_FILE = Path(__file__).with_name("field_pins.json")
 BUNDLE_SHAPES = [(d, q) for d in (2, 3, 4) for q in (1, 2)]
@@ -168,11 +169,6 @@ def produce(monkeypatch) -> dict:
     pins["halving.density"] = density_halving(monkeypatch)
     pins["halving.bundle"] = bundle_halving()
     return pins
-
-
-def library_build() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def test_field_pins(monkeypatch):
