@@ -25,12 +25,11 @@ from . import kahler_einstein as ke
 from .bundle import BundleState, blocks_to_chart, bundle_integrate, ricci_blocks_torus
 from .catalog import BUNDLE_RESOLUTION, CONSTRUCTORS, by_name, heisenberg_bundle_fields
 from .diffgeo import DEFAULT_ORACLE_STEP, ricci_with_defect
-from .errors import BundleFlowError, ConfigError, DomainError, EmptyInput
+from .errors import BundleFlowError, ConfigError, DomainError
 from .grids import MIN_RESOLUTION
 from .integrate import DEFAULT_C_CFL, DEFAULT_TOL, EXTINCTION_RATIO
 from .svgplot import render_phase_portrait
 from .traces import FlowTrace, atomic_write_text, read_trace, reduced_flow_trace, write_trace
-from .verify import CHECKS, run_check
 
 COMMANDS = ("curvature", "flow-ode", "flow-be", "flow-bundle", "verify", "plot")
 T_END = 1.0
@@ -307,17 +306,11 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
 
 
 def cmd_verify(cfg: dict, out_dir: str | None, only_check: str | None) -> int:
-    names = list(CHECKS)
-    if only_check is not None:
-        if only_check not in CHECKS:
-            raise ConfigError(f"unknown check '{only_check}'; choose from {names}")
-        names = [only_check]
-    elif "checks" in cfg:
-        requested = cfg["checks"]
-        bad = [c for c in requested if c not in CHECKS]
-        if bad:
-            raise ConfigError(f"unknown checks {bad}; choose from {names}")
-        names = list(requested)
+    from .verify import CHECKS, run_check  # verify reads _SCHEMA, so it loads after cli
+    names = [only_check] if only_check is not None else cfg.get("checks", list(CHECKS))
+    bad = [c for c in names if c not in CHECKS]
+    if bad:
+        raise ConfigError(f"unknown checks {bad}; choose from {list(CHECKS)}")
     results = [run_check(name) for name in names]
     for result in results:
         print(result.line())
@@ -344,10 +337,11 @@ def cmd_plot(cfg: dict, out_dir: str | None) -> int:
         paths = inputs
     else:
         raise ConfigError("'inputs' must be a directory or a list of trace paths")
-    if not paths:
-        raise EmptyInput("no trace files to plot")
-    traces = [read_trace(p) for p in paths]
-    svg = render_phase_portrait(traces, cfg.get("style"))
+    try:
+        traces = [read_trace(p) for p in paths]
+        svg = render_phase_portrait(traces, cfg.get("style"))
+    except BundleFlowError as exc:  # unreadable or unplottable traces are bad input
+        raise ConfigError(f"'inputs' {inputs!r}: {exc}")
     path = _out_path(cfg, out_dir, "plot", "portrait.svg")
     atomic_write_text(path, svg)
     print(f"plot: {len(traces)} traces, wrote {path}")
@@ -379,7 +373,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (BundleFlowError, np.linalg.LinAlgError) as exc:
+    except (BundleFlowError, np.linalg.LinAlgError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3

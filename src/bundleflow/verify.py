@@ -21,12 +21,13 @@ from .bundle import (BundleState, PointwiseBundleData, StructureConstants,
                      warped_product_data)
 from .catalog import (berger, heisenberg, heisenberg_bundle_fields, heisenberg_c_of_t,
                       sl2r, sol3, su2_invariant_metric, su2_sigma)
+from .cli import _numerics
 from .diffgeo import DEFAULT_ORACLE_STEP, CoordinateMetric
 from .diffgeo import ricci as ricci_oracle
 from .errors import BundleFlowError
 from .grids import MetricField, PeriodicChart, ScalarField
 from .svgplot import phase_points, render_phase_portrait
-from .traces import reduced_flow_trace
+from .traces import read_trace, reduced_flow_trace, write_trace
 
 
 @dataclass
@@ -332,10 +333,12 @@ def check_torus_specialization() -> CheckResult:
 # --- 9 -----------------------------------------------------------------
 
 def check_pde_ode_consistency() -> CheckResult:
-    """Spatially constant circle-bundle data: grid flow versus the reduced flow."""
-    g0, q0, a0 = heisenberg_bundle_fields(1, 1.0)
-    states, _ = bundle_integrate(BundleState(g0, q0, a0, 0.0), dt=5e-3, t_end=1.0,
-                                 record_every=5)
+    """Spatially constant circle-bundle data: a default ``flow-bundle`` run versus
+    the reduced flow."""
+    num = _numerics({"command": "flow-bundle"})
+    g0, q0, a0 = heisenberg_bundle_fields(1, 1.0, resolution=num["resolution"])
+    states, _ = bundle_integrate(BundleState(g0, q0, a0, 0.0), num["dt"], num["t_end"],
+                                 record_every=num["record_every"], c_cfl=num["c_cfl"])
     entry = heisenberg(1, 1.0)
     worst = 0.0
     spatial = 0.0
@@ -359,7 +362,11 @@ def check_pde_ode_consistency() -> CheckResult:
 # --- 10 ----------------------------------------------------------------
 
 def _be_run(N: float):
-    return be.be_integrate(be.sine_density_start(N), dt=1.0, t_end=1.0)
+    """The density flow from the start and numerics of a default ``flow-be`` run."""
+    num = _numerics({"command": "flow-be"})
+    state0 = be.sine_density_start(N, resolution=num["resolution"], extent=num["extent"])
+    return be.be_integrate(state0, num["dt"], num["t_end"], c_cfl=num["c_cfl"],
+                           record_every=num["record_every"])
 
 
 def check_bakry_emery() -> CheckResult:
@@ -461,8 +468,6 @@ def check_figure_reproduction() -> CheckResult:
     """
     import tempfile
     import xml.etree.ElementTree as ET
-
-    from .traces import read_trace, write_trace
 
     def full_pipeline(workdir):
         paths = []

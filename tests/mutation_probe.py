@@ -2,7 +2,7 @@
 
 Each mutant below replaces one unique line fragment of a module under
 ``src/bundleflow`` with a plausible slip (a flipped sign, a dropped factor, a
-shifted stencil index, a loosened comparison).  For every mutant the probe
+shifted stencil index, a loosened comparison, a changed default).  For every mutant the probe
 copies ``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` into a fresh
 temporary directory, applies the mutant there and runs the tier-1 suite on
 that copy (``python -m pytest -x -q``), then reports KILLED (the suite
@@ -82,6 +82,9 @@ MUTANTS = {
     "curvature-antisymmetry": ("bundle", '- np.einsum("...ckb->...kbc", da)',
                                '+ np.einsum("...ckb->...kbc", da)'),
     "fiber-laplacian-sign": ("bundle", "fiber = (-0.5 * lap_q", "fiber = (0.5 * lap_q"),
+    # cli: defaults of the flow commands, which the pde-ode and bakry-emery checks run too
+    "bundle-record-every": ("cli", '"record_every": 5}', '"record_every": 1}'),
+    "flow-t-end": ("cli", "T_END = 1.0", "T_END = 0.5"),
 }
 
 

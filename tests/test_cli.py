@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import traceback
 import xml.etree.ElementTree as ET
@@ -21,6 +23,16 @@ def write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def assert_one_error_line(capsys, error, *named):
+    """stderr is one JSON line with this error kind and naming each string."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    report = json.loads(err[0])
+    assert report["error"] == error
+    for text in named:
+        assert text in report["message"]
 
 
 class TestFlowOde:
@@ -377,11 +389,52 @@ class TestVerifyAndPlot:
         texts = [e.text for e in root.iter() if e.tag.endswith("text")]
         assert {"R & D <1>", "a<b", "\"u\" & 'v'"} <= set(texts)
 
-    def test_plot_empty_directory_exit_3(self, tmp_path):
+    def test_plot_empty_directory_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
         cfg = write_config(tmp_path, "p2.json", {"command": "plot", "inputs": str(empty)})
-        assert main(["plot", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert main(["plot", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert_one_error_line(capsys, "config", str(empty))
+
+    @pytest.mark.parametrize("content, named", [
+        (None, "cannot read"),
+        ("# label: x\nt,u\n0,1\n", "lacks required column 'f'"),
+        ("t,u,f\n0,1\n", "cells"),
+    ], ids=["missing-file", "not-a-trace", "malformed-row"])
+    def test_plot_bad_trace_exit_2(self, tmp_path, capsys, content, named):
+        trace = tmp_path / "t.csv"
+        if content is not None:
+            trace.write_text(content)
+        cfg = write_config(tmp_path, "p5.json", {"command": "plot", "inputs": [str(trace)]})
+        assert main(["plot", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert_one_error_line(capsys, "config", named, str(trace))
+
+    def test_plot_write_failure_exit_3(self, tmp_path, capsys):
+        trace = str(tmp_path / "t.csv")
+        write_trace(FlowTrace({"t": [0.0, 1.0], "u": [1.0, 0.5], "f": [0.0, 0.1]}), trace)
+        cfg = write_config(tmp_path, "p6.json", {
+            "command": "plot", "inputs": [trace],
+            "outputs": {"plot": os.path.join(trace, "fig.svg")}})  # under a file
+        assert main(["plot", "--config", cfg]) == 3
+        assert_one_error_line(capsys, "TraceIoError")
+
+
+class TestResourcesAndImports:
+    def test_unallocatable_grid_exit_3(self, tmp_path, capsys):
+        # the 10^7 x 10^7 chart's first array (2.84 PiB) fails to allocate at once
+        cfg = write_config(tmp_path, "huge.json", {
+            "command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+            "numerics": {"resolution": 10_000_000}})
+        assert main(["flow-bundle", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert_one_error_line(capsys, "MemoryError", "Unable to allocate")
+
+    def test_cli_import_does_not_load_verify(self):
+        # verify reads the CLI's defaults table, so the CLI loads it only to verify
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        probe = "import sys, bundleflow.cli; print('bundleflow.verify' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 # --- whole-config fuzzing against the exit-code contract ---------------------
