@@ -32,11 +32,6 @@ from .errors import BlowupTime, DomainError
 from .grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
 from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
 
-DEFAULT_K_VALUES = (0, 1)
-START_RESOLUTION = 32
-START_EXTENT = 2.0 * math.pi
-START_AMPLITUDE = 0.1
-
 
 @dataclass(frozen=True)
 class BEState:
@@ -64,8 +59,7 @@ class BEState:
         return 0.0 if math.isinf(self.N) else 1.0 / (self.N - self.n)
 
 
-def sine_density_start(N: float, amplitude: float = START_AMPLITUDE,
-                       resolution: int = START_RESOLUTION, extent: float = START_EXTENT):
+def sine_density_start(N: float, amplitude: float, resolution: int, extent: float):
     """The identity metric and the density amplitude * sin(2 pi x / extent) on
     a resolution^2 chart of period extent: the start of ``flow-be`` and of the
     bakry-emery check."""
@@ -107,7 +101,7 @@ def be_rhs(stage: tuple):
     return dg, lap - grad_sq
 
 
-def monitors(stage: tuple, k_values=DEFAULT_K_VALUES) -> BEMonitors:
+def monitors(stage: tuple, k_values) -> BEMonitors:
     bar_ric, df, g_inv, lap, grad_sq, inv_excess = stage
     if inv_excess != 0.0:
         bar_ric = bar_ric - inv_excess * np.einsum("...b,...c->...bc", df, df)
@@ -157,7 +151,7 @@ class BETrace:
         return np.array([s.t for s in self.states])
 
 
-def be_integrate(s0: BEState, dt: float, t_end: float, k_values=DEFAULT_K_VALUES,
+def be_integrate(s0: BEState, dt: float, t_end: float, k_values,
                  c_cfl: float = DEFAULT_C_CFL, record_every: int = 1) -> BETrace:
     """Integrate the density flow with ``integrate.fixed_step_integrate``,
     recording states and their monitors.  The extinction guard watches the

@@ -14,13 +14,14 @@ base, and the solvable Bianchi-III geometry over the hyperbolic plane.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bundle import PointwiseBundleData, StructureConstants
-from .diffgeo import CoordinateMetric
+from .diffgeo import CONDITION_CAP, CoordinateMetric
 from .errors import DomainError
 from .grids import ConnectionField, MetricField, PeriodicChart, QField
 from .kahler_einstein import KEParams, KEState, closed_form_flat
@@ -47,6 +48,17 @@ class CatalogEntry:
     bundle_at: Optional[Callable[[np.ndarray], tuple[PointwiseBundleData, np.ndarray]]] = None
     sample_point: Optional[tuple[float, ...]] = None
     closed_form: Optional[Callable[[float], KEState]] = None
+
+
+def _within_cap(coefficients: dict) -> None:
+    """DomainError unless each metric coefficient the parameters make lies within
+    a factor CONDITION_CAP of 1, the scale of the charts: past it a metric is worse
+    conditioned against them than ``spd_inverse`` accepts, and far past it its
+    data over- or underflow a float."""
+    for name, value in coefficients.items():
+        if not 1.0 / CONDITION_CAP <= value <= CONDITION_CAP:
+            raise DomainError(f"{name} = {value!r} is outside [1/{CONDITION_CAP:g}, "
+                              f"{CONDITION_CAP:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +117,7 @@ def berger(lambda1: float, lambda2: float) -> CatalogEntry:
     is the monitor."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise DomainError("both metric coefficients must be positive")
+    _within_cap({"lambda1^2": lambda1 * lambda1, "lambda2^2 / 2": lambda2 * lambda2 / 2.0})
     return CatalogEntry(
         name="berger", ke_params=KEParams(n=1, lam=2.0),
         ke_state0=KEState(u=lambda2 ** 2 / 2.0, f=-np.log(lambda1)),
@@ -121,6 +134,7 @@ def sl2r(lambda1: float, lambda2: float) -> CatalogEntry:
     so the reduced flow is checked through its conserved quantity only."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise DomainError("both metric coefficients must be positive")
+    _within_cap({"lambda1^2": lambda1 * lambda1, "lambda2^2": lambda2 * lambda2})
     return CatalogEntry(name="sl2r", ke_params=KEParams(n=1, lam=-4.0),
                         ke_state0=KEState(u=lambda2 ** 2, f=-np.log(lambda1)))
 
@@ -180,10 +194,12 @@ def heisenberg_pointwise_data(n: int, c: float) -> PointwiseBundleData:
 
 def heisenberg(n: int, c: float) -> CatalogEntry:
     """H_{2n+1} over the flat R^{2n}; n is a positive integer (2.0 counts, 2.5 does not)."""
-    if not (float(n).is_integer() and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if not (float(n).is_integer() and 1 <= n <= sys.maxsize // 2):
+        raise DomainError(f"n must be a positive integer whose 2n + 1 coordinates an index "
+                          f"counts, got {n!r}")
     if c <= 0:
         raise DomainError("c must be positive")
+    _within_cap({"c^2": c * c})
     n = int(n)
     params = KEParams(n=n, lam=0.0)
     state0 = KEState(u=1.0, f=-np.log(c))
@@ -261,6 +277,7 @@ def sol3(a: float, c: float) -> CatalogEntry:
                           "u = u0 - 2 lambda t in closed form, no reduced flow to run")
     if a < 0 or c <= 0:
         raise DomainError("need a > 0 and c > 0")
+    _within_cap({"a^2": a * a, "c": c, "c / a": c / a})
 
     def bundle_at(point):
         # gauge of sol3_total_metric: a^1_y = a / x

@@ -4,9 +4,10 @@
 
 Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
 configuration is a single JSON document that ``load_config`` validates
-strictly before any work starts (the README lists every rule).  ``_SCHEMA``
-holds each command's keys and its numerics defaults.  Exit codes: 0
-success, 2 configuration error, 3 numeric failure, 4 verification failure.
+strictly before any work starts, by one table, ``_SCHEMA``: each command's
+keys with their rules, and the defaults of its params and numerics (the
+README lists every rule).  Exit codes: 0 success, 2 configuration error,
+3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -34,87 +35,116 @@ from .traces import FlowTrace, atomic_write_text, read_trace, reduced_flow_trace
 COMMANDS = ("curvature", "flow-ode", "flow-be", "flow-bundle", "verify", "plot")
 T_END = 1.0
 
-# each command's config keys and its numerics keys with their defaults
+
+def _finite(value) -> bool:
+    """A finite JSON number: not a bool, nor an integer that no float holds."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and _finite(value)
+
+
+# a rule: (accepts the value, what it must be)
+_FINITE = (_finite, "a finite number")
+_POSITIVE = (lambda v: _finite(v) and v > 0, "a finite number > 0")
+_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+_RESOLUTION = (lambda v: _integer(v) and v >= MIN_RESOLUTION, f"an integer >= {MIN_RESOLUTION}")
+_OUTPUTS = (None, (lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+                   "an object of file paths"))
+# each geometry's params: all required, heisenberg's n an integer; the catalog
+# constructor, which load_config runs, checks their domain
+_GEOMETRY_PARAMS = {geometry: {key: (int, _COUNT) if key == "n" else (float, _FINITE)
+                               for key in keys} for geometry, (_, keys) in CONSTRUCTORS.items()}
+
+# Each command's keys besides "command", as key -> (default, rule); a section's
+# rule is its own table of that form.  A type as the default marks a required
+# key, read as that type; None an optional key without a default; any other
+# default is the value of an absent key, and a given value is read as its type.
 _SCHEMA = {
-    "curvature": {"required": {"command", "geometry", "params"},
-                  "optional": {"numerics", "outputs", "point"},
-                  "numerics": {"h": DEFAULT_ORACLE_STEP}},
-    "flow-ode": {"required": {"command", "geometry", "params"},
-                 "optional": {"numerics", "outputs"},
-                 "numerics": {"t_end": T_END, "tol": DEFAULT_TOL,
-                              "extinction_ratio": EXTINCTION_RATIO}},
-    "flow-be": {"required": {"command", "params"},
-                "optional": {"numerics", "outputs"},
-                "numerics": {"resolution": be.START_RESOLUTION, "extent": be.START_EXTENT,
-                             "dt": 1.0, "t_end": T_END, "c_cfl": DEFAULT_C_CFL,
-                             "record_every": 1}},
-    "flow-bundle": {"required": {"command", "geometry", "params"},
-                    "optional": {"numerics", "outputs"},
-                    "numerics": {"resolution": BUNDLE_RESOLUTION, "dt": 5e-3, "t_end": T_END,
-                                 "c_cfl": DEFAULT_C_CFL, "record_every": 5}},
-    "verify": {"required": {"command"}, "optional": {"checks", "outputs"}},
-    "plot": {"required": {"command", "inputs"}, "optional": {"style", "outputs"}},
-}
-
-# params keys of the commands that build their own fields; the others take the
-# keys of their geometry's catalog constructor
-_PARAM_KEYS = {"flow-be": ("N", "amplitude", "k"), "flow-bundle": ("n", "c")}
-_STYLE_KEYS = ("title", "x_label", "y_label")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_positive(value) -> bool:
-    return _is_number(value) and math.isfinite(value) and value > 0
-
-
-# numerics key -> (accepts the value, what it must be); absent keys take the defaults
-_NUMERICS = {
-    "dt": (_finite_positive, "a finite number > 0"),
-    "t_end": (_finite_positive, "a finite number > 0"),
-    "c_cfl": (_finite_positive, "a finite number > 0"),
-    "tol": (_finite_positive, "a finite number > 0"),
-    "h": (_finite_positive, "a finite number > 0"),
-    "extent": (_finite_positive, "a finite number > 0"),
-    "extinction_ratio": (lambda v: _is_number(v) and math.isfinite(v) and v >= 0,
-                         "a finite number >= 0"),
-    "record_every": (lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
-    "resolution": (lambda v: _is_integer(v) and v >= MIN_RESOLUTION,
-                   f"an integer >= {MIN_RESOLUTION}"),
+    "curvature": {
+        "geometry": (str, (lambda v: v in ("heisenberg", "sol3"), "a geometry with a pointwise "
+                           "bundle decomposition: one of ['heisenberg', 'sol3']")),
+        "params": (dict, _GEOMETRY_PARAMS),
+        "numerics": (None, {"h": (DEFAULT_ORACLE_STEP, _POSITIVE)}),
+        "point": (None, (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                         "a list of finite numbers")),
+        "outputs": _OUTPUTS},
+    "flow-ode": {
+        "geometry": (str, (lambda v: v in sorted(CONSTRUCTORS), f"one of {sorted(CONSTRUCTORS)}")),
+        "params": (dict, _GEOMETRY_PARAMS),
+        "numerics": (None, {"t_end": (T_END, _POSITIVE), "tol": (DEFAULT_TOL, _POSITIVE),
+                            "extinction_ratio": (EXTINCTION_RATIO, (
+                                lambda v: _finite(v) and v >= 0, "a finite number >= 0"))}),
+        "outputs": _OUTPUTS},
+    "flow-be": {
+        "params": (dict, {
+            "N": ("inf", (lambda v: _finite(v) and v != 2 or v in ("inf", "Infinity", math.inf),
+                          'a number other than the base dimension 2, or "inf"')),
+            "amplitude": (0.1, _FINITE),
+            "k": ([0, 1], (lambda v: isinstance(v, list) and all(map(_integer, v)),
+                           "a list of integers"))}),
+        "numerics": (None, {"resolution": (32, _RESOLUTION), "extent": (2.0 * math.pi, _POSITIVE),
+                            "dt": (1.0, _POSITIVE), "t_end": (T_END, _POSITIVE),
+                            "c_cfl": (DEFAULT_C_CFL, _POSITIVE), "record_every": (1, _COUNT)}),
+        "outputs": _OUTPUTS},
+    "flow-bundle": {
+        "geometry": (str, (lambda v: v == "heisenberg", "'heisenberg'")),
+        "params": (dict, {"n": (1, (lambda v: _integer(v) and v in (1, 2),
+                                    "1 or 2 (a 2- or 4-dimensional base chart)")),
+                          "c": (1.0, _FINITE)}),
+        "numerics": (None, {"resolution": (BUNDLE_RESOLUTION, _RESOLUTION),
+                            "dt": (5e-3, _POSITIVE), "t_end": (T_END, _POSITIVE),
+                            "c_cfl": (DEFAULT_C_CFL, _POSITIVE), "record_every": (5, _COUNT)}),
+        "outputs": _OUTPUTS},
+    "verify": {
+        "checks": (None, (lambda v: isinstance(v, list) and len(v) > 0
+                          and all(isinstance(c, str) for c in v),
+                          "a non-empty list of check names")),
+        "outputs": _OUTPUTS},
+    "plot": {
+        "inputs": (object, (lambda v: isinstance(v, str) or isinstance(v, list)
+                            and all(isinstance(p, str) for p in v),
+                            "a directory or a list of trace paths")),
+        "style": (None, {key: (None, (lambda v: isinstance(v, str), "a string"))
+                         for key in ("title", "x_label", "y_label")}),
+        "outputs": _OUTPUTS},
 }
 
 
-def _check_params(command: str, geometry, params) -> None:
-    """Only the command's (flow-be, flow-bundle) or the geometry's keys; geometry
-    parameters are finite numbers (heisenberg's n an integer), flow-be's N is a
-    number other than the base dimension 2 or "inf", and k a list of integers."""
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be an object")
-    allowed = _PARAM_KEYS.get(command) or CONSTRUCTORS[geometry][1]
-    unknown = set(params) - set(allowed)
+def _table(cfg: dict, section: str) -> dict:
+    """The key table of a section of the config: for params, its geometry's."""
+    table = _SCHEMA[cfg["command"]][section][1]
+    return table[cfg["geometry"]] if table is _GEOMETRY_PARAMS else table
+
+
+def _check(cfg: dict, where: str, table: dict, given) -> None:
+    """Apply a key table to one object of the config: no unknown key, every
+    required key given, and each value accepted by its rule (a section by its
+    table), in table order, so the geometry is checked before its params."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{where}' must be an object, got {given!r}")
+    unknown = set(given) - set(table)
     if unknown:
-        raise ConfigError(f"unknown params keys for {command}: {sorted(unknown)}; "
-                          f"allowed: {list(allowed)}")
-    for key, value in params.items():
-        if command == "flow-be" and key == "N":
-            if value in ("inf", "Infinity", None):
-                continue
-            if not _is_number(value) or math.isnan(value) or value == 2:
-                raise ConfigError(f"params.N must be a number other than the base "
-                                  f"dimension 2, or \"inf\"; got {value!r}")
-        elif command == "flow-be" and key == "k":
-            if not isinstance(value, list) or not all(_is_integer(k) for k in value):
-                raise ConfigError(f"params.k must be a list of integers, got {value!r}")
-        elif key == "n" and not (_is_integer(value) and value >= 1):
-            raise ConfigError(f"params.n must be an integer >= 1, got {value!r}")
-        elif not (_is_number(value) and math.isfinite(value)):
-            raise ConfigError(f"params.{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"unknown {where} keys for {cfg['command']}: {sorted(unknown)}; "
+                          f"allowed: {list(table)}")
+    missing = [key for key, (default, _) in table.items()
+               if isinstance(default, type) and key not in given]
+    if missing:
+        raise ConfigError(f"missing {where} keys for {cfg['command']}: {missing}")
+    for key, (_, rule) in table.items():
+        if key not in given:
+            continue
+        value = given[key]
+        if isinstance(rule, dict):
+            _check(cfg, key, _table(cfg, key), value)
+        elif not rule[0](value):
+            name = key if where == "config" else f"{where}.{key}"
+            raise ConfigError(f"{name} must be {rule[1]}, got {key} = {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -130,45 +160,27 @@ def load_config(path: str) -> dict:
     command = cfg.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"config 'command' must be one of {COMMANDS}, got {command!r}")
-    schema = _SCHEMA[command]
-    keys = set(cfg)
-    unknown = keys - schema["required"] - schema["optional"]
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    missing = schema["required"] - keys
-    if missing:
-        raise ConfigError(f"missing config keys for {command}: {sorted(missing)}")
-    numerics = cfg.get("numerics", {})
-    if not isinstance(numerics, dict):
-        raise ConfigError("'numerics' must be an object")
-    allowed = schema.get("numerics", {})
-    bad = set(numerics) - set(allowed)
-    if bad:
-        raise ConfigError(f"unknown numerics keys for {command}: {sorted(bad)}; "
-                          f"allowed: {list(allowed)}")
-    for key, value in numerics.items():
-        accepts, want = _NUMERICS[key]
-        if not accepts(value):
-            raise ConfigError(f"numerics.{key} must be {want}, got {value!r}")
-    geometry = cfg.get("geometry")
-    if "geometry" in cfg and not (isinstance(geometry, str) and geometry in CONSTRUCTORS):
-        raise ConfigError(f"'geometry' must be one of {sorted(CONSTRUCTORS)}, got {geometry!r}")
-    if "params" in cfg:
-        _check_params(command, geometry, cfg["params"])
-    outputs = cfg.get("outputs", {})
-    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
-        raise ConfigError(f"'outputs' must be an object of file paths, got {outputs!r}")
-    point = cfg.get("point", [])
-    if not isinstance(point, list) or not all(_is_number(x) and math.isfinite(x) for x in point):
-        raise ConfigError(f"'point' must be a list of finite numbers, got {point!r}")
-    style = cfg.get("style", {})
-    if not (isinstance(style, dict) and set(style) <= set(_STYLE_KEYS)
-            and all(isinstance(v, str) for v in style.values())):
-        raise ConfigError(f"'style' must map {_STYLE_KEYS} to strings, got {style!r}")
-    checks = cfg.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ConfigError(f"'checks' must be a list of check names, got {checks!r}")
+    _check(cfg, "config", _SCHEMA[command], {k: v for k, v in cfg.items() if k != "command"})
+    if "geometry" in cfg:
+        _geometry_entry(cfg)
     return cfg
+
+
+def _resolved(cfg: dict, section: str) -> dict:
+    """The command's params or numerics: each key of the section's table with the
+    config's value or else its default, read as the default's type."""
+    given = cfg.get(section, {})
+    return {key: (default if isinstance(default, type) else type(default))(given.get(key, default))
+            for key, (default, _) in _table(cfg, section).items()}
+
+
+def _geometry_entry(cfg: dict):
+    """The catalog entry of the config's geometry and params; a parameter outside
+    the constructor's domain is a config error."""
+    try:
+        return by_name(cfg["geometry"], _resolved(cfg, "params"))
+    except BundleFlowError as exc:
+        raise ConfigError(str(exc))
 
 
 def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> str:
@@ -186,24 +198,9 @@ def _write_flow(cfg: dict, out_dir: str | None, flow: FlowTrace, default: str, s
     return 0
 
 
-def _numerics(cfg: dict) -> dict:
-    """The command's numerics: each default of its table, or the config's
-    value converted to the default's type."""
-    given = cfg.get("numerics", {})
-    return {key: type(default)(given.get(key, default))
-            for key, default in _SCHEMA[cfg["command"]]["numerics"].items()}
-
-
-def _geometry_entry(cfg: dict):
-    try:
-        return by_name(cfg["geometry"], cfg.get("params", {}))
-    except BundleFlowError as exc:
-        raise ConfigError(str(exc))
-
-
 def cmd_flow_ode(cfg: dict, out_dir: str | None) -> int:
     entry = _geometry_entry(cfg)
-    num = _numerics(cfg)
+    num = _resolved(cfg, "numerics")
     trace = ke.ke_integrate(entry.ke_state0, entry.ke_params, num["t_end"], tol=num["tol"],
                             extinction_ratio=num["extinction_ratio"])
     meta = {"command": "flow-ode", "geometry": cfg["geometry"], "version": __version__,
@@ -217,11 +214,8 @@ def cmd_flow_ode(cfg: dict, out_dir: str | None) -> int:
 def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     geometry = cfg["geometry"]
     params = cfg.get("params", {})
-    h = _numerics(cfg)["h"]
+    h = _resolved(cfg, "numerics")["h"]
     entry = _geometry_entry(cfg)
-    if entry.bundle_at is None:
-        raise ConfigError(f"curvature needs a pointwise bundle decomposition, "
-                          f"which '{geometry}' does not record")
     point = np.asarray(cfg.get("point", entry.sample_point), dtype=float)
     if point.shape != (entry.total_metric.dims,):
         raise ConfigError(f"'point' must have {entry.total_metric.dims} coordinates "
@@ -255,41 +249,24 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
 
 
 def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
-    params = cfg.get("params", {})
-    num = _numerics(cfg)
-    n_value = params.get("N", "inf")
-    amplitude = float(params.get("amplitude", be.START_AMPLITUDE))
-    state0 = be.sine_density_start(
-        np.inf if n_value in ("inf", "Infinity", None) else float(n_value),
-        amplitude, resolution=num["resolution"], extent=num["extent"])
-    k_values = tuple(int(k) for k in params.get("k", be.DEFAULT_K_VALUES))
-    trace = be.be_integrate(state0, num["dt"], num["t_end"], k_values=k_values,
+    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
+    state0 = be.sine_density_start(float(params["N"]), params["amplitude"], num["resolution"],
+                                   num["extent"])
+    trace = be.be_integrate(state0, num["dt"], num["t_end"], params["k"],
                             c_cfl=num["c_cfl"], record_every=num["record_every"])
     columns = {"t": trace.times}
-    for k in k_values:
+    for k in params["k"]:
         columns[f"min_tildeS_{k}"] = np.array([m.min_tildeS[k] for m in trace.monitors])
     columns["max_grad_f_sq"] = np.array([m.max_grad_f_sq for m in trace.monitors])
-    meta = {"command": "flow-be", "N": str(n_value), "amplitude": format(amplitude, "g"),
+    meta = {"command": "flow-be", "N": params["N"], "amplitude": format(params["amplitude"], "g"),
             "resolution": str(num["resolution"]), "stop_reason": trace.stop_reason,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
     return _write_flow(cfg, out_dir, FlowTrace(columns, meta), "trace_be.csv", trace.stop_reason)
 
 
 def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
-    geometry = cfg["geometry"]
-    params = cfg.get("params", {})
-    num = _numerics(cfg)
-    if geometry != "heisenberg":
-        raise ConfigError("flow-bundle currently drives the flat-base circle-bundle "
-                          "configuration; use geometry 'heisenberg'")
-    n = params.get("n", 1)
-    if n not in (1, 2):
-        raise ConfigError(f"flow-bundle drives heisenberg n = 1 or 2 (a 2- or 4-dimensional "
-                          f"base chart), got n = {n}")
-    c = float(params.get("c", 1.0))
-    if c <= 0:
-        raise ConfigError(f"params.c must be positive, got {c:g}")
-    g0, q0, a0 = heisenberg_bundle_fields(n, c, resolution=num["resolution"])
+    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
+    g0, q0, a0 = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
     origin = (0,) * (g0.chart.dims + 2)
     states, stop = bundle_integrate(BundleState(g0, q0, a0, 0.0), num["dt"], num["t_end"],
                                     record_every=num["record_every"], c_cfl=num["c_cfl"])
@@ -300,7 +277,7 @@ def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
         "min_eig_g": np.array([s.min_eig_g for s in states]),
         "min_eig_q": np.array([s.min_eig_q for s in states]),
     }
-    meta = {"command": "flow-bundle", "geometry": geometry, "stop_reason": stop,
+    meta = {"command": "flow-bundle", "geometry": cfg["geometry"], "stop_reason": stop,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
     return _write_flow(cfg, out_dir, FlowTrace(columns, meta), "trace_bundle.csv", stop)
 
@@ -327,16 +304,12 @@ def cmd_verify(cfg: dict, out_dir: str | None, only_check: str | None) -> int:
 
 
 def cmd_plot(cfg: dict, out_dir: str | None) -> int:
-    inputs = cfg["inputs"]
+    inputs = paths = cfg["inputs"]
     if isinstance(inputs, str):
         if not os.path.isdir(inputs):
             raise ConfigError(f"'inputs' directory {inputs!r} does not exist")
         paths = sorted(os.path.join(inputs, f) for f in os.listdir(inputs)
                        if f.endswith(".csv"))
-    elif isinstance(inputs, list) and all(isinstance(p, str) for p in inputs):
-        paths = inputs
-    else:
-        raise ConfigError("'inputs' must be a directory or a list of trace paths")
     try:
         traces = [read_trace(p) for p in paths]
         svg = render_phase_portrait(traces, cfg.get("style"))

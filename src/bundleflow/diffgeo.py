@@ -125,15 +125,17 @@ def _christoffel_from_dg(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _central(fn: Callable, p: np.ndarray, h: float, d: int) -> np.ndarray:
-    """(fn(p + h e_a) - fn(p - h e_a)) / (2 h) for each coordinate axis a, stacked."""
-    return np.stack([(fn(p + e) - fn(p - e)) / (2.0 * h) for e in h * np.eye(d)])
+    """(fn(p + h e_a) - fn(p - h e_a)) / (2 h) for each coordinate axis a, stacked.
+    A metric that overflows at p +- h e_a gives non-finite values silently:
+    ``spd_inverse`` rejects it there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([(fn(p + e) - fn(p - e)) / (2.0 * h) for e in h * np.eye(d)])
 
 
-def christoffel(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
+def christoffel(m: CoordinateMetric, p, step: float = DEFAULT_ORACLE_STEP) -> np.ndarray:
     """Christoffel symbols at a coordinate point."""
-    h = step or DEFAULT_ORACLE_STEP
     p = np.asarray(p, dtype=float)
-    return _christoffel_from_dg(spd_inverse(m(p)), _central(m, p, h, m.dims))
+    return _christoffel_from_dg(spd_inverse(m(p)), _central(m, p, step, m.dims))
 
 
 def _ricci_from_gamma(gamma: np.ndarray, dgamma: np.ndarray):
@@ -147,16 +149,15 @@ def _ricci_from_gamma(gamma: np.ndarray, dgamma: np.ndarray):
     return 0.5 * (ric + ric_t), np.abs(ric - ric_t).max(axis=(-2, -1))
 
 
-def ricci_with_defect(m: CoordinateMetric, p, step: float | None = None):
+def ricci_with_defect(m: CoordinateMetric, p, step: float = DEFAULT_ORACLE_STEP):
     """Symmetrized Ricci tensor at a coordinate point and the
     pre-symmetrization asymmetry diagnostic."""
-    h = step or DEFAULT_ORACLE_STEP
     p = np.asarray(p, dtype=float)
-    return _ricci_from_gamma(christoffel(m, p, h),
-                             _central(lambda x: christoffel(m, x, h), p, h, m.dims))
+    return _ricci_from_gamma(christoffel(m, p, step),
+                             _central(lambda x: christoffel(m, x, step), p, step, m.dims))
 
 
-def ricci(m: CoordinateMetric, p, step: float | None = None) -> np.ndarray:
+def ricci(m: CoordinateMetric, p, step: float = DEFAULT_ORACLE_STEP) -> np.ndarray:
     return ricci_with_defect(m, p, step)[0]
 
 

@@ -11,6 +11,8 @@ arrays, and a flow builds an accepted step's metrics with ``factored``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
@@ -52,6 +54,11 @@ class PeriodicChart:
             raise DomainError("chart extents must be positive")
         if any(r < MIN_RESOLUTION for r in res):
             raise DomainError(f"resolution must be >= {MIN_RESOLUTION} per axis")
+        if not all(sys.float_info.min <= h * h <= sys.float_info.max for h in self.spacing):
+            raise DomainError(f"squared grid spacings {self.spacing} over- or underflow a float")
+        if math.prod(res) * 8 * len(res) ** 3 > np.iinfo(np.intp).max:
+            # numpy sizes an array by a signed index: no (d, d, d) stage array fits it
+            raise MemoryError(f"a {res} chart is too large to allocate")
 
     @property
     def dims(self) -> int:

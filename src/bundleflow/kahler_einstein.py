@@ -198,7 +198,7 @@ def ke_integrate(s0: KEState, p: KEParams, t_end: float, tol: float = DEFAULT_TO
 
     def rhs(t, y):
         u, f = y
-        if u <= 0:
+        if u <= 0 or u * u == 0:  # u^2 = 0: the df/dt term divides by it
             return math.nan, math.nan
         return ke_rhs(u, f, p)
 

@@ -21,7 +21,7 @@ from .bundle import (BundleState, PointwiseBundleData, StructureConstants,
                      warped_product_data)
 from .catalog import (berger, heisenberg, heisenberg_bundle_fields, heisenberg_c_of_t,
                       sl2r, sol3, su2_invariant_metric, su2_sigma)
-from .cli import _numerics
+from .cli import _resolved
 from .diffgeo import DEFAULT_ORACLE_STEP, CoordinateMetric
 from .diffgeo import ricci as ricci_oracle
 from .errors import BundleFlowError
@@ -335,11 +335,12 @@ def check_torus_specialization() -> CheckResult:
 def check_pde_ode_consistency() -> CheckResult:
     """Spatially constant circle-bundle data: a default ``flow-bundle`` run versus
     the reduced flow."""
-    num = _numerics({"command": "flow-bundle"})
-    g0, q0, a0 = heisenberg_bundle_fields(1, 1.0, resolution=num["resolution"])
+    cfg = {"command": "flow-bundle"}
+    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
+    g0, q0, a0 = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
     states, _ = bundle_integrate(BundleState(g0, q0, a0, 0.0), num["dt"], num["t_end"],
                                  record_every=num["record_every"], c_cfl=num["c_cfl"])
-    entry = heisenberg(1, 1.0)
+    entry = heisenberg(params["n"], params["c"])
     worst = 0.0
     spatial = 0.0
     for s in states:
@@ -362,10 +363,11 @@ def check_pde_ode_consistency() -> CheckResult:
 # --- 10 ----------------------------------------------------------------
 
 def _be_run(N: float):
-    """The density flow from the start and numerics of a default ``flow-be`` run."""
-    num = _numerics({"command": "flow-be"})
-    state0 = be.sine_density_start(N, resolution=num["resolution"], extent=num["extent"])
-    return be.be_integrate(state0, num["dt"], num["t_end"], c_cfl=num["c_cfl"],
+    """A default ``flow-be`` run at this N."""
+    cfg = {"command": "flow-be"}
+    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
+    state0 = be.sine_density_start(N, params["amplitude"], num["resolution"], num["extent"])
+    return be.be_integrate(state0, num["dt"], num["t_end"], params["k"], c_cfl=num["c_cfl"],
                            record_every=num["record_every"])
 
 
@@ -378,7 +380,7 @@ def check_bakry_emery() -> CheckResult:
         grad0 = trace.monitors[0].max_grad_f_sq
         mono_violation = 0.0
         grad_excess = 0.0
-        for k in (0, 1):
+        for k in trace.monitors[0].min_tildeS:
             mins = np.array([m.min_tildeS[k] for m in trace.monitors])
             mono_violation = max(mono_violation, float(np.max(-np.diff(mins), initial=0.0)))
         for m in trace.monitors:

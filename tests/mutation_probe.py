@@ -82,9 +82,12 @@ MUTANTS = {
     "curvature-antisymmetry": ("bundle", '- np.einsum("...ckb->...kbc", da)',
                                '+ np.einsum("...ckb->...kbc", da)'),
     "fiber-laplacian-sign": ("bundle", "fiber = (-0.5 * lap_q", "fiber = (0.5 * lap_q"),
-    # cli: defaults of the flow commands, which the pde-ode and bakry-emery checks run too
-    "bundle-record-every": ("cli", '"record_every": 5}', '"record_every": 1}'),
+    # cli: defaults of the flow commands, which the pde-ode and bakry-emery checks run too,
+    # and a rule of the config table
+    "bundle-record-every": ("cli", '"record_every": (5, _COUNT)', '"record_every": (1, _COUNT)'),
     "flow-t-end": ("cli", "T_END = 1.0", "T_END = 0.5"),
+    "bundle-default-c": ("cli", '"c": (1.0, _FINITE)', '"c": (2.0, _FINITE)'),
+    "checks-non-empty": ("cli", "isinstance(v, list) and len(v) > 0", "isinstance(v, list)"),
 }
 
 

@@ -115,19 +115,19 @@ class TestMonitors:
 class TestBeIntegrate:
     def test_constant_trace_on_flat(self):
         _, g, f, _ = flat_setup(res=16, amp=0.0)
-        trace = be_integrate(BEState(g, f, np.inf), dt=0.01, t_end=0.05)
+        trace = be_integrate(BEState(g, f, np.inf), dt=0.01, t_end=0.05, k_values=(0, 1))
         assert trace.stop_reason == "Horizon"
         assert np.max(np.abs(trace.states[-1].g.values - g.values)) < 1e-12
 
     def test_extinction_guard_reason(self, monkeypatch):
         monkeypatch.setattr(integrate, "EXTINCTION_RATIO", 0.999999)
         _, g, f, _ = flat_setup(res=16, amp=0.1)
-        trace = be_integrate(BEState(g, f, 5), dt=0.01, t_end=1.0)
+        trace = be_integrate(BEState(g, f, 5), dt=0.01, t_end=1.0, k_values=(0, 1))
         assert trace.stop_reason == "ExtinctionGuard"
 
     def test_monotone_min_scalar_short(self):
         _, g, f, _ = flat_setup(res=24, amp=0.1)
-        trace = be_integrate(BEState(g, f, np.inf), dt=1.0, t_end=0.3)
+        trace = be_integrate(BEState(g, f, np.inf), dt=1.0, t_end=0.3, k_values=(0, 1))
         mins = np.array([m.min_tildeS[0] for m in trace.monitors])
         assert np.all(np.diff(mins) >= -1e-8)
 

@@ -12,9 +12,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bundleflow.catalog import CONSTRUCTORS, by_name
 from bundleflow.cli import main
 from bundleflow.traces import FlowTrace, read_trace, write_trace
 
@@ -142,6 +143,7 @@ class TestConfigValidation:
         ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 3, "c": 1.0}},
          "n = 3"),
         ({"command": "verify", "checks": "round-sphere"}, "checks"),
+        ({"command": "verify", "checks": []}, "non-empty"),
         ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1, "lambda2": 2},
           "outputs": 5}, "outputs"),
         ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
@@ -181,7 +183,7 @@ class TestConfigValidation:
           "params": {"lambda1": 1.0, "lambda2": 2.0}}, "'berger'"),
     ], ids=["tol-string", "tol-zero", "lambda1-string", "n-string", "c-string",
             "resolution-string", "resolution-4-bundle", "resolution-4-be", "N-equals-n",
-            "bundle-n-3", "checks-string", "outputs-number", "point-string", "point-short",
+            "bundle-n-3", "checks-string", "checks-empty", "outputs-number", "point-string", "point-short",
             "sol3-point-x-0", "be-params-typo", "ode-params-typo", "bundle-params-case",
             "curvature-params-extra", "geometry-list", "style-string", "style-number",
             "style-unknown-key", "inputs-number", "ode-dt", "ode-resolution", "ode-c_cfl",
@@ -201,6 +203,57 @@ class TestConfigValidation:
             "params": {"lambda1": -1.0, "lambda2": 1.0},
         })
         assert main(["flow-ode", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("cfg, code, error", [
+        ({"command": "flow-ode", "geometry": "berger",
+          "params": {"lambda1": 1.0, "lambda2": 1e300}}, 2, "config"),
+        ({"command": "flow-ode", "geometry": "sl2r",
+          "params": {"lambda1": 1.0, "lambda2": 1e300}}, 2, "config"),
+        ({"command": "flow-ode", "geometry": "berger",
+          "params": {"lambda1": 1e300, "lambda2": 1.0}}, 2, "config"),
+        ({"command": "flow-ode", "geometry": "berger",
+          "params": {"lambda1": 10**30, "lambda2": 1.0}}, 2, "config"),
+        ({"command": "curvature", "geometry": "heisenberg",
+          "params": {"n": 1, "c": 10**30}}, 2, "config"),
+        ({"command": "curvature", "geometry": "heisenberg",
+          "params": {"n": 1, "c": 1e-300}}, 2, "config"),
+        ({"command": "flow-ode", "geometry": "heisenberg",
+          "params": {"n": 10**30, "c": 1.0}}, 2, "config"),
+        ({"command": "flow-ode", "geometry": "sol3", "params": {"a": 1e300, "c": 1.0}},
+         2, "config"),
+        ({"command": "flow-be", "params": {"N": 5}, "numerics": {"resolution": 10**30}},
+         3, "MemoryError"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"resolution": 10**30}}, 3, "MemoryError"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1e300}},
+         2, "config"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1e-300}},
+         2, "config"),
+        ({"command": "flow-ode", "geometry": "berger", "params": {"lambda1": 1.0, "lambda2": 2.0},
+          "numerics": {"t_end": 10**400}}, 2, "config"),
+        ({"command": "flow-ode", "geometry": "berger",
+          "params": {"lambda1": 10**400, "lambda2": 2.0}}, 2, "config"),
+        ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "point": [10**400, 0.0, 0.0]}, 2, "config"),
+    ], ids=["berger-lambda2-1e300", "sl2r-lambda2-1e300", "berger-lambda1-1e300",
+            "berger-lambda1-int-1e30", "heisenberg-c-int-1e30", "heisenberg-c-1e-300",
+            "heisenberg-n-int-1e30", "sol3-a-1e300", "be-resolution-1e30",
+            "bundle-resolution-1e30", "bundle-c-1e300", "bundle-c-1e-300",
+            "numerics-400-digits", "params-400-digits", "point-400-digits"])
+    def test_out_of_range_magnitudes(self, tmp_path, capsys, cfg, code, error):
+        path = write_config(tmp_path, "big.json", cfg)
+        assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == code
+        assert_one_error_line(capsys, error)
+
+    @pytest.mark.parametrize("geometry", sorted(CONSTRUCTORS))
+    def test_curvature_takes_the_geometries_with_a_bundle_decomposition(self, tmp_path,
+                                                                       geometry):
+        params = {key: 1 if key == "n" else 1.0 for key in CONSTRUCTORS[geometry][1]}
+        path = write_config(tmp_path, "c.json", {"command": "curvature", "geometry": geometry,
+                                                 "params": params})
+        decomposed = by_name(geometry, params).bundle_at is not None
+        assert main(["curvature", "--config", path, "--out", str(tmp_path)]) == (
+            0 if decomposed else 2)
 
 
 class TestCurvature:
@@ -476,6 +529,7 @@ _CASES = [(command, path) for command, cfg in _minimal_configs("trace.csv").item
 _TEXT = st.text(alphabet="ab \x00", max_size=4)
 _HOSTILE = st.one_of(
     _TEXT,
+    st.sampled_from([10**30, 10**400, 1e300, 1e-300]),
     st.just(float("nan")),
     st.booleans(),
     st.integers(-10, -1),
@@ -486,13 +540,21 @@ _HOSTILE = st.one_of(
 )
 
 
+# valid values that make a run long: a far horizon, or a tiny step or tolerance
+_LONG_RUNS = [("t_end", 10**30), ("t_end", 1e300), ("dt", 1e-300), ("c_cfl", 1e-300),
+              ("tol", 1e-300)]
+
+
 class TestConfigFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=st.sampled_from(_CASES), value=_HOSTILE)
     @example(case=("plot", ("style",)), value="abc")
     @example(case=("flow-ode", ("outputs", "trace")), value="a\x00")
+    @example(case=("flow-be", ("numerics", "extent")), value=1e-300)
+    @example(case=("curvature", ("numerics", "h")), value=1e300)
     def test_exit_code_contract(self, case, value):
         command, path = case
+        assume((path[-1], value) not in _LONG_RUNS)
         tb = ""
         with tempfile.TemporaryDirectory() as workdir:
             trace = os.path.join(workdir, "trace.csv")

@@ -119,7 +119,7 @@ def bundle_states(records) -> list:
 def density_run() -> str:
     chart, g, f = density_fields(12)
     trace = be.be_integrate(be.BEState(MetricField(chart, g), ScalarField(chart, f), 5.0),
-                            dt=0.01, t_end=0.03)
+                            dt=0.01, t_end=0.03, k_values=(0, 1))
     assert len(trace.states) == 4
     return digest(*density_states(trace))
 
@@ -146,7 +146,7 @@ def density_halving(monkeypatch) -> str:
     chart, g, f = density_fields(14, amp=0.5)
     with pytest.raises(StepRejected) as err:
         be.be_integrate(be.BEState(MetricField(chart, g), ScalarField(chart, f), 5.0),
-                        2.5, 2.5, c_cfl=1e9)
+                        2.5, 2.5, (0, 1), c_cfl=1e9)
     assert accepted
     arrays = [a for s in accepted for a in ([s.t], s.g.values, s.f.values)]
     return digest(*arrays) + " " + str(err.value)

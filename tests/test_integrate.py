@@ -163,7 +163,7 @@ def min_eig(values):
 
 
 def run_density(dt, t_end, **kwargs):
-    trace = be_integrate(density_state(N=kwargs.pop("N", np.inf)), dt, t_end, **kwargs)
+    trace = be_integrate(density_state(N=kwargs.pop("N", np.inf)), dt, t_end, (0, 1), **kwargs)
     return trace.states, trace.stop_reason
 
 
@@ -313,7 +313,7 @@ class TestFixedStepDriver:
         g = MetricField(chart, np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy())
         f = ScalarField(chart, 0.5 * np.sin(chart.grid_coords()[..., 0]))
         with pytest.raises(StepRejected):
-            be_integrate(BEState(g, f, 5.0), 2.5, 2.5, c_cfl=1e9)
+            be_integrate(BEState(g, f, 5.0), 2.5, 2.5, (0, 1), c_cfl=1e9)
         assert len(per_rejection) > 100
         assert max(per_rejection) <= 2
 
@@ -322,7 +322,7 @@ class TestOneFactorizationPerAcceptedState:
     """An accepted state is factored once; its factorization gives the next k1."""
 
     @pytest.mark.parametrize("state0, run", [
-        (density_state, lambda s: be_integrate(s, 1e-3, 3e-3).states),
+        (density_state, lambda s: be_integrate(s, 1e-3, 3e-3, (0, 1)).states),
         (bundle_state, lambda s: bundle_integrate(s, 1e-3, 3e-3)[0]),
     ])
     def test_four_choleskys_and_eigensolves_of_g_per_step(self, monkeypatch, state0, run):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bundleflow.errors import DomainError, LambdaZero, NegativeBase
+from bundleflow.errors import DomainError, LambdaZero, NegativeBase, StepUnderflow
 from bundleflow.kahler_einstein import (KEParams, KEState, LauretState, _psi_cleared,
                                         closed_form_flat, ke_integrate, ke_rhs, lambda_invariant,
                                         lauret_integrate, lauret_rhs, psi, to_lauret)
@@ -158,6 +158,12 @@ class TestKeIntegrate:
         trace = ke_integrate(KEState(entry_u0, 0.0), KEParams(1, 2.0), 1.0, tol=1e-9)
         assert trace.stop_reason == "Extinct"
         assert trace.u[-1] <= 1e-6 * entry_u0 * 1.01
+
+    def test_underflowing_u_squared_is_out_of_domain(self):
+        # u > 0 but u^2 = 0: the right-hand side rejects the state as it does u <= 0,
+        # so every trial step fails, rather than dividing by zero
+        with pytest.raises(StepUnderflow):
+            ke_integrate(KEState(1e-170, 0.0), KEParams(1, -1.0), 1.0)
 
     def test_flat_flow_monotone(self):
         trace = ke_integrate(KEState(1.0, 0.0), KEParams(1, 0.0), 5.0, tol=1e-9)
