@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bundle import PointwiseBundleData, StructureConstants
-from .diffgeo import CONDITION_CAP, CoordinateMetric
+from .diffgeo import CoordinateMetric
 from .errors import DomainError
 from .grids import ConnectionField, MetricField, PeriodicChart, QField
 from .kahler_einstein import KEParams, KEState, closed_form_flat
@@ -50,15 +50,13 @@ class CatalogEntry:
     closed_form: Optional[Callable[[float], KEState]] = None
 
 
-def _within_cap(coefficients: dict) -> None:
-    """DomainError unless each metric coefficient the parameters make lies within
-    a factor CONDITION_CAP of 1, the scale of the charts: past it a metric is worse
-    conditioned against them than ``spd_inverse`` accepts, and far past it its
-    data over- or underflow a float."""
+def _representable(coefficients: dict) -> None:
+    """DomainError unless each metric coefficient the parameters make is a finite
+    float no smaller than the least normal one: past either end its data over- or
+    underflow.  How well conditioned the metric is is ``spd_inverse``'s to judge."""
     for name, value in coefficients.items():
-        if not 1.0 / CONDITION_CAP <= value <= CONDITION_CAP:
-            raise DomainError(f"{name} = {value!r} is outside [1/{CONDITION_CAP:g}, "
-                              f"{CONDITION_CAP:g}]")
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise DomainError(f"{name} = {value!r} over- or underflows a float")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +115,7 @@ def berger(lambda1: float, lambda2: float) -> CatalogEntry:
     is the monitor."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise DomainError("both metric coefficients must be positive")
-    _within_cap({"lambda1^2": lambda1 * lambda1, "lambda2^2 / 2": lambda2 * lambda2 / 2.0})
+    _representable({"lambda1^2": lambda1 * lambda1, "lambda2^2 / 2": lambda2 * lambda2 / 2.0})
     return CatalogEntry(
         name="berger", ke_params=KEParams(n=1, lam=2.0),
         ke_state0=KEState(u=lambda2 ** 2 / 2.0, f=-np.log(lambda1)),
@@ -134,7 +132,7 @@ def sl2r(lambda1: float, lambda2: float) -> CatalogEntry:
     so the reduced flow is checked through its conserved quantity only."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise DomainError("both metric coefficients must be positive")
-    _within_cap({"lambda1^2": lambda1 * lambda1, "lambda2^2": lambda2 * lambda2})
+    _representable({"lambda1^2": lambda1 * lambda1, "lambda2^2": lambda2 * lambda2})
     return CatalogEntry(name="sl2r", ke_params=KEParams(n=1, lam=-4.0),
                         ke_state0=KEState(u=lambda2 ** 2, f=-np.log(lambda1)))
 
@@ -199,7 +197,7 @@ def heisenberg(n: int, c: float) -> CatalogEntry:
                           f"counts, got {n!r}")
     if c <= 0:
         raise DomainError("c must be positive")
-    _within_cap({"c^2": c * c})
+    _representable({"c^2": c * c})
     n = int(n)
     params = KEParams(n=n, lam=0.0)
     state0 = KEState(u=1.0, f=-np.log(c))
@@ -277,7 +275,7 @@ def sol3(a: float, c: float) -> CatalogEntry:
                           "u = u0 - 2 lambda t in closed form, no reduced flow to run")
     if a < 0 or c <= 0:
         raise DomainError("need a > 0 and c > 0")
-    _within_cap({"a^2": a * a, "c": c, "c / a": c / a})
+    _representable({"a^2": a * a, "c": c, "c / a": c / a})
 
     def bundle_at(point):
         # gauge of sol3_total_metric: a^1_y = a / x

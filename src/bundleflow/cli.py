@@ -6,8 +6,9 @@ Commands: curvature, flow-ode, flow-be, flow-bundle, verify, plot.  The
 configuration is a single JSON document that ``load_config`` validates
 strictly before any work starts, by one table, ``_SCHEMA``: each command's
 keys with their rules, and the defaults of its params and numerics (the
-README lists every rule).  Exit codes: 0 success, 2 configuration error,
-3 numeric failure, 4 verification failure.
+README lists every rule); a command with a geometry then builds its catalog
+entry, whose constructor checks the params' domain.  Exit codes: 0 success,
+2 configuration error, 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ _COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 _RESOLUTION = (lambda v: _integer(v) and v >= MIN_RESOLUTION, f"an integer >= {MIN_RESOLUTION}")
 _OUTPUTS = (None, (lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
                    "an object of file paths"))
+_GEOMETRY = (str, (lambda v: v in sorted(CONSTRUCTORS), f"one of {sorted(CONSTRUCTORS)}"))
 # each geometry's params: all required, heisenberg's n an integer; the catalog
-# constructor, which load_config runs, checks their domain
+# constructor, which the command runs, checks their domain
 _GEOMETRY_PARAMS = {geometry: {key: (int, _COUNT) if key == "n" else (float, _FINITE)
                                for key in keys} for geometry, (_, keys) in CONSTRUCTORS.items()}
 
@@ -67,15 +69,14 @@ _GEOMETRY_PARAMS = {geometry: {key: (int, _COUNT) if key == "n" else (float, _FI
 # default is the value of an absent key, and a given value is read as its type.
 _SCHEMA = {
     "curvature": {
-        "geometry": (str, (lambda v: v in ("heisenberg", "sol3"), "a geometry with a pointwise "
-                           "bundle decomposition: one of ['heisenberg', 'sol3']")),
+        "geometry": _GEOMETRY,
         "params": (dict, _GEOMETRY_PARAMS),
         "numerics": (None, {"h": (DEFAULT_ORACLE_STEP, _POSITIVE)}),
         "point": (None, (lambda v: isinstance(v, list) and all(map(_finite, v)),
                          "a list of finite numbers")),
         "outputs": _OUTPUTS},
     "flow-ode": {
-        "geometry": (str, (lambda v: v in sorted(CONSTRUCTORS), f"one of {sorted(CONSTRUCTORS)}")),
+        "geometry": _GEOMETRY,
         "params": (dict, _GEOMETRY_PARAMS),
         "numerics": (None, {"t_end": (T_END, _POSITIVE), "tol": (DEFAULT_TOL, _POSITIVE),
                             "extinction_ratio": (EXTINCTION_RATIO, (
@@ -161,8 +162,6 @@ def load_config(path: str) -> dict:
     if command not in COMMANDS:
         raise ConfigError(f"config 'command' must be one of {COMMANDS}, got {command!r}")
     _check(cfg, "config", _SCHEMA[command], {k: v for k, v in cfg.items() if k != "command"})
-    if "geometry" in cfg:
-        _geometry_entry(cfg)
     return cfg
 
 
@@ -216,6 +215,9 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     params = cfg.get("params", {})
     h = _resolved(cfg, "numerics")["h"]
     entry = _geometry_entry(cfg)
+    if entry.bundle_at is None:
+        raise ConfigError(f"curvature needs a pointwise bundle decomposition, "
+                          f"which '{geometry}' does not record")
     point = np.asarray(cfg.get("point", entry.sample_point), dtype=float)
     if point.shape != (entry.total_metric.dims,):
         raise ConfigError(f"'point' must have {entry.total_metric.dims} coordinates "
@@ -265,6 +267,7 @@ def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
 
 
 def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
+    _geometry_entry(cfg)  # heisenberg's domain check of n and c
     params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
     g0, q0, a0 = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
     origin = (0,) * (g0.chart.dims + 2)

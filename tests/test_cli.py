@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bundleflow.catalog import CONSTRUCTORS, by_name
 from bundleflow.cli import main
 from bundleflow.traces import FlowTrace, read_trace, write_trace
 
@@ -212,9 +211,9 @@ class TestConfigValidation:
         ({"command": "flow-ode", "geometry": "berger",
           "params": {"lambda1": 1e300, "lambda2": 1.0}}, 2, "config"),
         ({"command": "flow-ode", "geometry": "berger",
-          "params": {"lambda1": 10**30, "lambda2": 1.0}}, 2, "config"),
+          "params": {"lambda1": 10**30, "lambda2": 1.0}}, 3, "StepUnderflow"),
         ({"command": "curvature", "geometry": "heisenberg",
-          "params": {"n": 1, "c": 10**30}}, 2, "config"),
+          "params": {"n": 1, "c": 10**30}}, 3, "SingularMetric"),
         ({"command": "curvature", "geometry": "heisenberg",
           "params": {"n": 1, "c": 1e-300}}, 2, "config"),
         ({"command": "flow-ode", "geometry": "heisenberg",
@@ -245,15 +244,18 @@ class TestConfigValidation:
         assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == code
         assert_one_error_line(capsys, error)
 
-    @pytest.mark.parametrize("geometry", sorted(CONSTRUCTORS))
-    def test_curvature_takes_the_geometries_with_a_bundle_decomposition(self, tmp_path,
-                                                                       geometry):
-        params = {key: 1 if key == "n" else 1.0 for key in CONSTRUCTORS[geometry][1]}
-        path = write_config(tmp_path, "c.json", {"command": "curvature", "geometry": geometry,
+    @pytest.mark.parametrize("command, geometry, params", [
+        ("flow-ode", "berger", {"lambda1": 1e-7, "lambda2": 1.0}),
+        ("flow-ode", "berger", {"lambda1": 1e7, "lambda2": 1e7}),
+        ("flow-ode", "sol3", {"a": 1e-7, "c": 1e7}),
+        ("curvature", "sol3", {"a": 1e-7, "c": 1e7}),
+    ], ids=["berger-lambda1-1e-7", "berger-scaled-1e7", "sol3-c-over-a-1e14",
+            "curvature-sol3-c-over-a-1e14"])
+    def test_representable_extremes_run(self, tmp_path, command, geometry, params):
+        # only a coefficient that over- or underflows a float is out of the domain
+        path = write_config(tmp_path, "x.json", {"command": command, "geometry": geometry,
                                                  "params": params})
-        decomposed = by_name(geometry, params).bundle_at is not None
-        assert main(["curvature", "--config", path, "--out", str(tmp_path)]) == (
-            0 if decomposed else 2)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
 
 
 class TestCurvature:
