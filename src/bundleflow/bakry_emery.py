@@ -8,10 +8,10 @@ The state is (g, f, N) with N != n an extended real.  The flow is
 integrated in a fixed background gauge by the fixed-step RK4 driver of
 ``integrate`` (step cap, halving and extinction guard are documented
 there).  Each RK stage computes its geometry once (``be_stage``) from raw
-arrays.  An accepted state is validated and factored once, and its stage
-geometry gives both the next step's k1 and the state's monitors, so a step
-costs four geometry passes.  The monitored scalars are the density scalar
-curvature barS = g^{bc} barRic_bc and
+arrays.  An accepted state is built, then factored once (``be_factor``),
+and its stage geometry gives both the next step's k1 and the state's
+monitors, so a step costs four geometry passes.  The monitored scalars are
+the density scalar curvature barS = g^{bc} barRic_bc and
 
     tildeS_k = barS + Delta f - (k + 1) |grad f|^2 ,
 
@@ -114,14 +114,11 @@ def monitors(stage: tuple, k_values) -> BEMonitors:
         max_grad_f_sq=float(np.max(grad_sq)))
 
 
-def _accepted(s: BEState, g_inv: np.ndarray, min_eig: float) -> Accepted:
-    return Accepted(s, (min_eig,),
-                    be_stage(s.g.chart, s.g.values, s.f.values, s.inv_excess, g_inv))
-
-
 def be_factor(s: BEState) -> Accepted:
     """The state factored once, with its stage geometry: what ``be_step`` takes."""
-    return _accepted(s, *spd_factor(s.g.values))
+    g_inv, min_eig = spd_factor(s.g.values)
+    return Accepted(s, (min_eig,),
+                    be_stage(s.g.chart, s.g.values, s.f.values, s.inv_excess, g_inv))
 
 
 def be_step(cur: Accepted, dt: float) -> Accepted:
@@ -134,8 +131,7 @@ def be_step(cur: Accepted, dt: float) -> Accepted:
         return be_rhs(be_stage(chart, y[0], y[1], inv_excess, spd_inverse(y[0])))
 
     def accept(t, y):
-        g, (g_inv, min_eig) = MetricField.factored(spd_factor, chart, y[0])
-        return _accepted(BEState(g, ScalarField(chart, y[1]), s.N, t), g_inv, min_eig)
+        return be_factor(BEState(MetricField(chart, y[0]), ScalarField(chart, y[1]), s.N, t))
 
     return rk4_halving(rhs, s.t, (s.g.values, s.f.values), k1, dt, accept)
 

@@ -18,8 +18,8 @@ each other.
 The torus-bundle flow of (g, Q, alpha) on a periodic chart runs on the
 fixed-step RK4 driver of ``integrate`` (step cap, halving and extinction
 guard are documented there).  Each stage computes the base geometry once
-(``diffgeo.base_geometry``) from raw arrays; an accepted state is validated
-and factored once, and its g^{-1} and Q^{-1} give the next step's k1.
+(``diffgeo.base_geometry``) from raw arrays; an accepted state is built, then
+factored once (``_factor``), and its g^{-1} and Q^{-1} give the next step's k1.
 """
 
 from __future__ import annotations
@@ -388,10 +388,17 @@ def flow_rhs_from_data(d: PointwiseBundleData):
 
 @dataclass(frozen=True)
 class BundleState:
+    """Base metric g, fiber metric Q and connection alpha on one chart and fiber."""
+
     g: MetricField
     Q: QField
     alpha: ConnectionField
     t: float
+
+    def __post_init__(self):
+        require_same_chart(self.g, self.Q, self.alpha)
+        if self.Q.q != self.alpha.q:
+            raise DimensionMismatch("fiber dimensions of Q and the connection differ")
 
 
 @dataclass(frozen=True)
@@ -402,8 +409,9 @@ class BundleRecord(BundleState):
     min_eig_q: float
 
 
-def _accepted(s: BundleState, g_factor, q_factor) -> Accepted:
-    (g_inv, min_g), (q_inv, min_q) = g_factor, q_factor
+def _factor(s: BundleState) -> Accepted:
+    """The state factored once; its g^{-1} and Q^{-1} give the next step's k1."""
+    (g_inv, min_g), (q_inv, min_q) = spd_factor(s.g.values), spd_factor(s.Q.values)
     return Accepted(s, (min_g, min_q), (g_inv, q_inv))
 
 
@@ -418,10 +426,8 @@ def _bundle_step(cur: Accepted, dt: float) -> Accepted:
             chart, *y, lin, spd_inverse(y[0]), spd_inverse(y[1])))
 
     def accept(t, y):
-        g, g_factor = MetricField.factored(spd_factor, chart, y[0])
-        Q, q_factor = QField.factored(spd_factor, chart, q, y[1])
-        return _accepted(BundleState(g, Q, ConnectionField(chart, q, y[2], linear), t),
-                         g_factor, q_factor)
+        return _factor(BundleState(MetricField(chart, y[0]), QField(chart, q, y[1]),
+                                   ConnectionField(chart, q, y[2], linear), t))
 
     y = (s.g.values, s.Q.values, s.alpha.values)
     k1 = flow_rhs_from_data(bundle_data_from_fields(chart, *y, lin, *cur.take_reuse()))
@@ -435,10 +441,8 @@ def bundle_integrate(state0: BundleState, dt: float, t_end: float,
     smallest eigenvalues of g and of Q.  Returns (records, stop_reason), each
     record a ``BundleRecord``.
     """
-    chart = require_same_chart(state0.g, state0.Q, state0.alpha)
-    if state0.Q.q != state0.alpha.q:
-        raise DimensionMismatch("fiber dimensions of Q and the connection differ")
     return fixed_step_integrate(
-        _bundle_step, lambda s: _accepted(s, spd_factor(s.g.values), spd_factor(s.Q.values)),
+        _bundle_step, _factor,
         lambda c: BundleRecord(c.state.g, c.state.Q, c.state.alpha, c.state.t, *c.min_eigs),
-        state0, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every)
+        state0, dt, t_end, h_min=min(state0.g.chart.spacing), c_cfl=c_cfl,
+        record_every=record_every)

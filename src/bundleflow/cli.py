@@ -252,8 +252,11 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
 
 def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
     params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
-    state0 = be.sine_density_start(float(params["N"]), params["amplitude"], num["resolution"],
-                                   num["extent"])
+    try:
+        state0 = be.sine_density_start(float(params["N"]), params["amplitude"],
+                                       num["resolution"], num["extent"])
+    except DomainError as exc:      # an extent whose grid spacing a float cannot square
+        raise ConfigError(str(exc))
     trace = be.be_integrate(state0, num["dt"], num["t_end"], params["k"],
                             c_cfl=num["c_cfl"], record_every=num["record_every"])
     columns = {"t": trace.times}

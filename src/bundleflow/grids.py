@@ -5,21 +5,22 @@ every axis.  Arrays store the grid axes first and tensor component axes
 last, so einsum expressions can use an ellipsis for the grid part.
 Derivatives are plain second-order central differences, gathered through
 neighbour index arrays that each chart builds once.
-Fields validate their values where they enter; integrator stages pass raw
-arrays, and a flow builds an accepted step's metrics with ``factored``.
+Fields check the values they hold where they enter: shape, finiteness and,
+for metrics, symmetry.  Whether a metric is positive definite is decided by
+``diffgeo.spd_inverse`` alone; integrator stages pass raw arrays.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import ChartMismatch, DimensionMismatch, DomainError, SingularMetric
+from .errors import ChartMismatch, DimensionMismatch, DomainError
 
 MAX_CHART_DIMS = 4
 MIN_RESOLUTION = 8
@@ -92,6 +93,16 @@ class PeriodicChart:
         return np.stack(mesh, axis=-1)
 
 
+def _checked(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a float array, checked to have ``shape`` and only finite entries."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != shape:
+        raise DimensionMismatch(f"{what} shape {v.shape} incompatible with the chart: {shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{what} contains non-finite values")
+    return v
+
+
 def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float)
     out.setflags(write=False)
@@ -114,66 +125,38 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _freeze(self.values)
-        if v.shape != self.chart.resolution:
-            raise DimensionMismatch(
-                f"scalar values shape {v.shape} != resolution {self.chart.resolution}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("scalar field contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(_checked(
+            self.values, self.chart.resolution, "scalar field")))
 
 
 class _SPDGrid:
-    """MetricField and QField values: finite, symmetric to 1e-12 and positive
-    definite at every node, stored exactly symmetrized (the one copy made)."""
+    """MetricField and QField values: finite and symmetric to 1e-12 at every node,
+    stored exactly symmetrized (the one copy made).  Whether they are positive
+    definite is ``diffgeo.spd_inverse``'s decision, where a flow factors them."""
 
-    def __post_init__(self, factor=np.linalg.cholesky):
-        v = np.asarray(self.values, dtype=float)
-        shape = self.chart.resolution + (self._rank,) * 2
-        if v.shape != shape:
-            raise DimensionMismatch(f"{self._what} shape {v.shape} incompatible with the "
-                                    f"chart, want {shape}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"{self._what} contains non-finite values")
+    def __post_init__(self):
+        v = _checked(self.values, self.chart.resolution + (self._rank,) * 2, self._what)
         sym = v + np.swapaxes(v, -1, -2)
         sym *= 0.5
         if np.max(np.abs(v - sym)) > 1e-12 * (1.0 + np.max(np.abs(v))):
             raise DomainError(f"{self._what} is not symmetric")
         sym.setflags(write=False)
         object.__setattr__(self, "values", sym)
-        try:
-            return factor(sym)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(f"{self._what} is not positive definite everywhere") from exc
-
-    @classmethod
-    def factored(cls, factor, *args):
-        """``cls(*args)`` and ``factor(values)``, with ``factor`` (``spd_factor``)
-        in place of the bare Cholesky: how a flow accepts a step."""
-        field = object.__new__(cls)
-        for spec, value in zip(fields(cls), args):
-            object.__setattr__(field, spec.name, value)
-        return field, field.__post_init__(factor)
 
 
 @dataclass(frozen=True)
 class MetricField(_SPDGrid):
-    """Symmetric positive-definite dims x dims matrix at every node."""
+    """Symmetric dims x dims matrix at every node."""
 
     chart: PeriodicChart
     values: np.ndarray
     _what = "metric field"
-
-    @property
-    def dims(self) -> int:
-        return self.chart.dims
-
-    _rank = dims
+    _rank = property(lambda self: self.chart.dims)
 
 
 @dataclass(frozen=True)
 class QField(_SPDGrid):
-    """Fiber metric: symmetric positive-definite q x q matrix at every node."""
+    """Fiber metric: symmetric q x q matrix at every node."""
 
     chart: PeriodicChart
     q: int
@@ -200,12 +183,8 @@ class ConnectionField:
 
     def __post_init__(self):
         d = self.chart.dims
-        v = _freeze(self.values)
-        if v.shape != self.chart.resolution + (self.q, d):
-            raise DimensionMismatch(f"connection shape {v.shape} incompatible with chart/q")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("connection field contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(_checked(
+            self.values, self.chart.resolution + (self.q, d), "connection field")))
         if self.linear is not None:
             lin = _freeze(self.linear)
             if lin.shape != (self.q, d, d):

@@ -1,8 +1,9 @@
 """Explicit Runge-Kutta machinery shared by every flow integrator.
 
 ``fixed_step_integrate`` is the one driver of both grid flows (the density
-flow and the torus-bundle flow).  Each state it accepts is symmetrized,
-validated and factored exactly once (``diffgeo.spd_factor``);
+flow and the torus-bundle flow).  Each state it accepts is built from its
+fields, which check shape, finiteness and symmetry, and then factored
+exactly once (``diffgeo.spd_factor``, whose gate alone decides positivity);
 the exact smallest eigenvalues cap the step at c_cfl * h_min^2 *
 lambda_min(g) and feed the extinction guard, and the factorization gives the
 next step's first stage k1 (first same as last, like ``adaptive_rk``'s
@@ -81,8 +82,8 @@ def rk4_halving(f: Callable, t: float, y: tuple, k1: tuple, dt: float, accept: C
     """One RK4 step from y and its first stage k1, halving dt while a later
     stage or the result is rejected; every retry reuses k1.
 
-    ``accept(t_new, y_new)`` validates and factors the new arrays and returns
-    the caller's next ``Accepted``.  It rejects a result that is not positive
+    ``accept(t_new, y_new)`` builds the new state, factors it and returns the
+    caller's next ``Accepted``.  It rejects a result that is not positive
     definite or is above the condition cap, so such a step is halved, not
     accepted.  Raises StepRejected after ``MAX_HALVINGS`` halvings.
     """

@@ -82,6 +82,9 @@ MUTANTS = {
     "curvature-antisymmetry": ("bundle", '- np.einsum("...ckb->...kbc", da)',
                                '+ np.einsum("...ckb->...kbc", da)'),
     "fiber-laplacian-sign": ("bundle", "fiber = (-0.5 * lap_q", "fiber = (0.5 * lap_q"),
+    # bundle: the accepted state's eigenvalue order, and the state's own agreement check
+    "bundle-factor-eig-order": ("bundle", "(min_g, min_q)", "(min_q, min_g)"),
+    "bundle-state-fiber-check": ("bundle", "if self.Q.q != self.alpha.q:", "if False:"),
     # cli: defaults of the flow commands, which the pde-ode and bakry-emery checks run too,
     # and a rule of the config table
     "bundle-record-every": ("cli", '"record_every": (5, _COUNT)', '"record_every": (1, _COUNT)'),

@@ -7,7 +7,7 @@ from bundleflow import integrate
 from bundleflow.bakry_emery import (BEState, be_factor, be_integrate, be_rhs, be_step,
                                     gradient_bound, monitors)
 from bundleflow.diffgeo import christoffel_field, ricci_field_with_defect, spd_inverse
-from bundleflow.errors import BlowupTime, DomainError
+from bundleflow.errors import BlowupTime, ChartMismatch, DomainError
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField
 from scalar_reference import drift_laplacian_field, grad_norm_sq_field, laplacian_field
 
@@ -110,6 +110,14 @@ class TestMonitors:
         mon = monitors(be_factor(BEState(g, f, np.inf)).reuse, k_values=(0,))
         expected = -0.3 * np.sin(x)
         assert np.max(np.abs(mon.barS - expected)) < 5e-4
+
+
+class TestBEState:
+    def test_fields_must_share_the_chart(self):
+        _, g, _, _ = flat_setup(res=16)
+        _, _, f, _ = flat_setup(res=8)
+        with pytest.raises(ChartMismatch):
+            BEState(g, f, np.inf)
 
 
 class TestBeIntegrate:

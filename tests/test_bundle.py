@@ -13,7 +13,7 @@ from bundleflow.bundle import (BundleState, PointwiseBundleData, StructureConsta
 from bundleflow.catalog import (heisenberg_bundle_fields, heisenberg_pointwise_data,
                                 su2_invariant_metric, su2_sigma)
 from bundleflow.diffgeo import CoordinateMetric, ricci, spd_inverse
-from bundleflow.errors import DomainError
+from bundleflow.errors import ChartMismatch, DimensionMismatch, DomainError
 from bundleflow.grids import ConnectionField, MetricField, PeriodicChart, QField, ScalarField
 
 
@@ -433,6 +433,21 @@ class TestWarpedProduct:
         df_fl = -(q / 2.0) * dq_fl[..., 0, 0] / np.exp(-2.0 * f.values / q)
         assert np.max(np.abs(dg_be - dg_fl)) < 1e-12 * np.max(np.abs(dg_be))
         assert np.max(np.abs(df_be - df_fl)) < 1e-12 * np.max(np.abs(df_be))
+
+
+class TestBundleState:
+    def test_fiber_dimensions_must_agree(self):
+        g, q, _ = heisenberg_bundle_fields(1, 1.0)
+        a = ConnectionField(g.chart, 2, np.zeros(g.chart.resolution + (2, 2)))
+        with pytest.raises(DimensionMismatch):
+            BundleState(g, q, a, 0.0)
+
+    def test_fields_must_share_the_chart(self):
+        g, q, a = heisenberg_bundle_fields(1, 1.0)
+        other = PeriodicChart(g.chart.extents, (8, 8))
+        g8 = MetricField(other, np.broadcast_to(np.eye(2), (8, 8, 2, 2)))
+        with pytest.raises(ChartMismatch):
+            BundleState(g8, q, a, 0.0)
 
 
 class TestBundleIntegrate:

@@ -224,6 +224,10 @@ class TestConfigValidation:
          3, "MemoryError"),
         ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
           "numerics": {"resolution": 10**30}}, 3, "MemoryError"),
+        ({"command": "flow-be", "params": {"N": 5}, "numerics": {"extent": 1e300}},
+         2, "config"),
+        ({"command": "flow-be", "params": {"N": 5}, "numerics": {"extent": 1e-300}},
+         2, "config"),
         ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1e300}},
          2, "config"),
         ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1e-300}},
@@ -237,8 +241,8 @@ class TestConfigValidation:
     ], ids=["berger-lambda2-1e300", "sl2r-lambda2-1e300", "berger-lambda1-1e300",
             "berger-lambda1-int-1e30", "heisenberg-c-int-1e30", "heisenberg-c-1e-300",
             "heisenberg-n-int-1e30", "sol3-a-1e300", "be-resolution-1e30",
-            "bundle-resolution-1e30", "bundle-c-1e300", "bundle-c-1e-300",
-            "numerics-400-digits", "params-400-digits", "point-400-digits"])
+            "bundle-resolution-1e30", "be-extent-1e300", "be-extent-1e-300", "bundle-c-1e300",
+            "bundle-c-1e-300", "numerics-400-digits", "params-400-digits", "point-400-digits"])
     def test_out_of_range_magnitudes(self, tmp_path, capsys, cfg, code, error):
         path = write_config(tmp_path, "big.json", cfg)
         assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == code

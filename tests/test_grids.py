@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bundleflow.errors import ChartMismatch, DimensionMismatch, DomainError, SingularMetric
-from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart, ScalarField,
+from bundleflow.errors import ChartMismatch, DimensionMismatch, DomainError
+from bundleflow.grids import (ConnectionField, MetricField, PeriodicChart, QField, ScalarField,
                               deriv, deriv2, grad, require_same_chart, second_derivs)
 from scalar_reference import roll_deriv, roll_deriv2, roll_grad, roll_second_derivs
 
@@ -65,11 +65,24 @@ class TestFields:
         with pytest.raises(DomainError):
             ScalarField(c, v)
 
-    def test_metric_must_be_spd(self):
+    def test_metric_fields_make_no_positivity_decision(self, monkeypatch):
+        # positivity is spd_inverse's decision alone, made where a flow factors
+        # its state: building a field factors nothing, even an indefinite one
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(a, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
         c = chart2d(8)
-        v = np.tile(np.diag([1.0, -1.0]), c.resolution + (1, 1))
-        with pytest.raises(SingularMetric):
-            MetricField(c, v)
+        indefinite = np.tile(np.diag([1.0, -1.0]), c.resolution + (1, 1))
+        assert np.array_equal(MetricField(c, indefinite).values, indefinite)
+        QField(c, 2, indefinite)
+        QField(c, 1, np.ones(c.resolution + (1, 1)))
+        assert calls == []
 
     def test_metric_symmetry_enforced_exactly(self):
         c = chart2d(8)

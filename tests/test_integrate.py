@@ -227,6 +227,21 @@ class TestFixedStepDriver:
         assert len(states) >= 3
         assert states[-1].t - states[-2].t < states[1].t - states[0].t
 
+    def test_start_metric_not_positive_definite_names_the_node(self):
+        # a field holds any symmetric values; the flow's one factorization of
+        # its start state is what rejects g, naming the node
+        def indefinite_at_3_5(g):
+            v = g.values.copy()
+            v[3, 5] = np.diag([1.0, -1.0])
+            return MetricField(g.chart, v)
+
+        s = density_state()
+        with pytest.raises(SingularMetric, match=r"not positive definite at node \(3, 5\)"):
+            be_integrate(BEState(indefinite_at_3_5(s.g), s.f, s.N), 1e-3, 1e-2, (0,))
+        s = bundle_state()
+        with pytest.raises(SingularMetric, match=r"not positive definite at node \(3, 5\)"):
+            bundle_integrate(BundleState(indefinite_at_3_5(s.g), s.Q, s.alpha, 0.0), 1e-3, 1e-2)
+
     def test_extinction_guard_fires_at_equality(self, monkeypatch):
         # Q of the constant Heisenberg data starts at exactly 1 and shrinks,
         # so a ratio equal to its smallest eigenvalue after one step puts that
@@ -267,7 +282,7 @@ class TestFixedStepDriver:
         be_step(cur, 1e-3)
         assert counts == {"spd_inverse": 4, "christoffel_field": 4}
         s = bundle_state()
-        cur = bundle._accepted(s, diffgeo.spd_factor(s.g.values), diffgeo.spd_factor(s.Q.values))
+        cur = bundle._factor(s)
         counts.clear()
         bundle._bundle_step(cur, 1e-3)
         assert counts == {"spd_inverse": 8, "christoffel_field": 4}
