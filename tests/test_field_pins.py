@@ -7,7 +7,11 @@ zero.  These pins hold the exact float64 bits of the grid right-hand sides
 4 and fiber dimension q = 1, 2), of three-step runs of both integrators,
 and of two halving runs (a density run at dt 2.5 that ends in
 ``StepRejected``, whose message is pinned too, and a bundle run at dt 5),
-all on seeded non-uniform fields over 8^d charts.
+all on seeded non-uniform fields over 8^d charts.  Four more runs pin every
+node of every record on starts that are constant along some chart axes:
+heisenberg(1, c) at 16^2 and heisenberg(2, c) at 8^4, the ``flow-be`` sine
+start at 32^2 with its monitors, and a seeded 8^4 bundle start that varies
+along x only.
 
 Like ``test_golden.py`` they characterize the code as it stood.  The bits
 depend on the floating-point library, so ``field_pins.json`` records the
@@ -26,6 +30,7 @@ import pytest
 from bundleflow import bakry_emery as be
 from bundleflow.bundle import (BundleState, bundle_data_from_fields, bundle_integrate,
                               flow_rhs_from_data)
+from bundleflow.catalog import heisenberg_bundle_fields
 from bundleflow.diffgeo import spd_inverse
 from bundleflow.errors import StepRejected
 from bundleflow.grids import ConnectionField, MetricField, PeriodicChart, QField, ScalarField
@@ -161,6 +166,42 @@ def bundle_halving() -> str:
     return stop + " " + digest(*bundle_states(records))
 
 
+def x_only_fields(seed: int):
+    """``bundle_fields(4, 2, seed)`` sampled along the x axis and repeated over
+    the other three: a start that varies along x only."""
+    g, Q, alpha = bundle_fields(4, 2, seed)
+    chart = g.chart
+
+    def along_x(values):
+        return np.broadcast_to(values[:, :1, :1, :1], values.shape)
+
+    return (MetricField(chart, along_x(g.values)), QField(chart, 2, along_x(Q.values)),
+            ConnectionField(chart, 2, along_x(alpha.values), alpha.linear))
+
+
+def constant_axis_runs() -> dict:
+    """Every node of every record of runs whose starts are constant along
+    some chart axes: all of them (the Heisenberg fields), y (the sine
+    density) or y, z and w (the x-only bundle start)."""
+    runs = {}
+    for name, n, res, dt, steps in (("heisenberg1.16x2", 1, 16, 3e-3, 16),
+                                    ("heisenberg2.8x4", 2, 8, 5e-3, 3)):
+        state0 = BundleState(*heisenberg_bundle_fields(n, 1.1, resolution=res), 0.0)
+        records, stop = bundle_integrate(state0, dt, steps * dt)
+        assert len(records) == steps + 1 and stop == "Horizon"
+        runs[f"run.bundle.{name}"] = digest(*bundle_states(records))
+    records, stop = bundle_integrate(BundleState(*x_only_fields(17), 0.0), 0.01, 0.03)
+    assert len(records) == 4 and stop == "Horizon"
+    runs["run.bundle.x_only.8x4"] = digest(*bundle_states(records))
+    trace = be.be_integrate(be.sine_density_start(5.0, 0.1, 32, 2.0 * np.pi),
+                            5e-3, 3.5e-2, k_values=(0, 1))
+    assert len(trace.states) == 8
+    extrema = [[m.max_grad_f_sq, *(m.min_tildeS[k] for k in sorted(m.min_tildeS))]
+               for m in trace.monitors]
+    runs["run.density.sine.32x2"] = digest(*density_states(trace), *extrema)
+    return runs
+
+
 def produce(monkeypatch) -> dict:
     pins = {f"rhs.density.N{N:g}": density_rhs(N) for N in (5.0, np.inf, 1.0)}
     pins.update({f"rhs.bundle.d{d}q{q}": bundle_rhs(d, q) for d, q in BUNDLE_SHAPES})
@@ -168,6 +209,7 @@ def produce(monkeypatch) -> dict:
     pins["run.bundle"] = bundle_run()
     pins["halving.density"] = density_halving(monkeypatch)
     pins["halving.bundle"] = bundle_halving()
+    pins.update(constant_axis_runs())
     return pins
 
 
