@@ -10,7 +10,9 @@ integrated in a fixed background gauge by the fixed-step RK4 driver of
 there).  Each RK stage computes its geometry once (``be_stage``) from raw
 arrays.  An accepted state is built, then factored once (``be_factor``),
 and its stage geometry gives both the next step's k1 and the state's
-monitors, so a step costs four geometry passes.  The monitored scalars are
+monitors, so a step costs four geometry passes.  The flow runs on the
+start's ``PeriodicChart.collapsed`` chart (the ``flow-be`` sine start is
+constant along y), to the bits of the full chart.  The monitored scalars are
 the density scalar curvature barS = g^{bc} barRic_bc and
 
     tildeS_k = barS + Delta f - (k + 1) |grad f|^2 ,
@@ -22,6 +24,7 @@ max |grad f_t|^2 in both the N > n and N < n regimes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +32,8 @@ import numpy as np
 
 from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import BlowupTime, DomainError
-from .grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
+from .grids import (MetricField, PeriodicChart, ScalarField, grad, require_same_chart, restrict,
+                    widened)
 from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
 
 
@@ -151,10 +155,24 @@ def be_integrate(s0: BEState, dt: float, t_end: float, k_values,
                  c_cfl: float = DEFAULT_C_CFL, record_every: int = 1) -> BETrace:
     """Integrate the density flow with ``integrate.fixed_step_integrate``,
     recording states and their monitors.  The extinction guard watches the
-    smallest eigenvalue of g."""
+    smallest eigenvalue of g.  The steps run on ``chart.collapsed`` of the
+    start's fields, and each record is widened back to the start's chart as
+    read-only broadcast views."""
+    full = s0.g.chart
+    chart = full.collapsed(s0.g.values, s0.f.values)
+    start = BEState(MetricField(chart, restrict(s0.g.values, chart)),
+                    ScalarField(chart, restrict(s0.f.values, chart)), s0.N, s0.t)
+
+    def record(cur):
+        s, m = cur.state, monitors(cur.reuse, k_values)
+        wide = functools.partial(np.broadcast_to, shape=full.resolution)
+        return (BEState(widened(s.g, full), widened(s.f, full), s.N, s.t),
+                BEMonitors(wide(m.barS), {k: wide(v) for k, v in m.tildeS.items()},
+                           wide(m.grad_f_sq), m.min_tildeS, m.max_grad_f_sq))
+
     records, stop_reason = fixed_step_integrate(
-        be_step, be_factor, lambda cur: (cur.state, monitors(cur.reuse, k_values)), s0,
-        dt, t_end, h_min=min(s0.g.chart.spacing), c_cfl=c_cfl, record_every=record_every)
+        be_step, be_factor, record, start, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl,
+        record_every=record_every)
     states, mons = (list(x) for x in zip(*records))
     return BETrace(states, mons, stop_reason)
 

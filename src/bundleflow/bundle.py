@@ -20,6 +20,9 @@ fixed-step RK4 driver of ``integrate`` (step cap, halving and extinction
 guard are documented there).  Each stage computes the base geometry once
 (``diffgeo.base_geometry``) from raw arrays; an accepted state is built, then
 factored once (``_factor``), and its g^{-1} and Q^{-1} give the next step's k1.
+The flow runs on the start's ``PeriodicChart.collapsed`` chart, so a start
+constant along an axis (every Heisenberg start is constant everywhere) is
+computed at one node there, to the bits of the full chart.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import DimensionMismatch, DomainError
 from .grids import (ConnectionField, MetricField, PeriodicChart, QField, ScalarField, deriv,
-                    grad, require_same_chart, second_derivs)
+                    grad, require_same_chart, restrict, second_derivs, widened)
 from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
 
 BLOCK_SYMMETRY_TOL = 1e-10
@@ -439,10 +442,19 @@ def bundle_integrate(state0: BundleState, dt: float, t_end: float,
     """Integrate the torus-bundle flow on a periodic chart with
     ``integrate.fixed_step_integrate``.  The extinction guard watches the
     smallest eigenvalues of g and of Q.  Returns (records, stop_reason), each
-    record a ``BundleRecord``.
+    record a ``BundleRecord`` on the start's chart.
+
+    The steps run on ``chart.collapsed`` of the start's fields, and each
+    record is ``grids.widened`` back, its values read-only broadcast views.
     """
+    full, q, alpha = state0.g.chart, state0.Q.q, state0.alpha
+    chart = full.collapsed(state0.g.values, state0.Q.values, alpha.values)
+    start = BundleState(MetricField(chart, restrict(state0.g.values, chart)),
+                        QField(chart, q, restrict(state0.Q.values, chart)),
+                        ConnectionField(chart, q, restrict(alpha.values, chart), alpha.linear),
+                        state0.t)
     return fixed_step_integrate(
         _bundle_step, _factor,
-        lambda c: BundleRecord(c.state.g, c.state.Q, c.state.alpha, c.state.t, *c.min_eigs),
-        state0, dt, t_end, h_min=min(state0.g.chart.spacing), c_cfl=c_cfl,
-        record_every=record_every)
+        lambda c: BundleRecord(*(widened(f, full) for f in (c.state.g, c.state.Q, c.state.alpha)),
+                               c.state.t, *c.min_eigs),
+        start, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every)

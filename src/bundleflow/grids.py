@@ -12,6 +12,7 @@ for metrics, symmetry.  Whether a metric is positive definite is decided by
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ class PeriodicChart:
     """Rectangular chart with periodic index wrap on every axis.
 
     extents     per-axis period lengths (> 0)
-    resolution  per-axis grid point counts (>= 8)
+    resolution  per-axis grid point counts (>= 8, or 1: an axis every field
+                is constant along, whose stencils give exactly zero)
     origin      coordinate of grid node (0, ..., 0); purely a labelling of
                 nodes with physical coordinates, the wrap is unaffected
     """
@@ -53,8 +55,8 @@ class PeriodicChart:
             raise DimensionMismatch("extents, resolution and origin must have equal length")
         if any(e <= 0 for e in ext):
             raise DomainError("chart extents must be positive")
-        if any(r < MIN_RESOLUTION for r in res):
-            raise DomainError(f"resolution must be >= {MIN_RESOLUTION} per axis")
+        if any(r != 1 and r < MIN_RESOLUTION for r in res):
+            raise DomainError(f"resolution must be 1 or >= {MIN_RESOLUTION} per axis")
         if not all(sys.float_info.min <= h * h <= sys.float_info.max for h in self.spacing):
             raise DomainError(f"squared grid spacings {self.spacing} over- or underflow a float")
         if math.prod(res) * 8 * len(res) ** 3 > np.iinfo(np.intp).max:
@@ -83,6 +85,21 @@ class PeriodicChart:
             index.setflags(write=False)
         return axes, flat, two_h
 
+    def collapsed(self, *arrays: np.ndarray) -> "PeriodicChart":
+        """This chart with one node on each axis along which every array (grid
+        axes first) is bitwise constant, at the same spacing and origin; the
+        chart itself when there is no such axis.  On a one-node axis the
+        stencils compute what they compute at a node equal to its neighbours,
+        (v - v) / 2h = +0.0 and ((v - 2v) + v) / h^2 = 0.0, so a flow whose
+        step commutes with shifts bit for bit computes each node's bits there."""
+        bits = [np.ascontiguousarray(a).view(np.int64) for a in arrays]
+        res = tuple(1 if all((b == b.take([0], a)).all() for b in bits) else n
+                    for a, n in enumerate(self.resolution))
+        if res == self.resolution:
+            return self
+        return PeriodicChart(tuple(h if n == 1 else e for e, h, n
+                                   in zip(self.extents, self.spacing, res)), res, self.origin)
+
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.resolution[axis])
 
@@ -106,6 +123,22 @@ def _checked(values, shape: tuple, what: str) -> np.ndarray:
 def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float)
     out.setflags(write=False)
+    return out
+
+
+def restrict(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
+    """The first ``chart.resolution`` nodes along each grid axis of values."""
+    return values[tuple(map(slice, chart.resolution))]
+
+
+def widened(field, chart: PeriodicChart):
+    """A field on a ``chart.collapsed`` chart, back on ``chart``: the same field
+    with its values a read-only broadcast view.  Nothing is checked again,
+    since every node repeats a node of the checked field."""
+    out = copy.copy(field)
+    object.__setattr__(out, "chart", chart)
+    object.__setattr__(out, "values", np.broadcast_to(
+        field.values, chart.resolution + field.values.shape[chart.dims:]))
     return out
 
 

@@ -16,6 +16,8 @@ accepted step the smallest eigenvalue of each positive-definite array is
 compared with ``EXTINCTION_RATIO`` times its initial value; at or below it
 the crossing state is recorded and the run stops with "ExtinctionGuard".
 Otherwise every ``record_every``-th state and the final one are recorded.
+Both flows hand it their start on its ``PeriodicChart.collapsed`` chart and
+widen each record back to the start's chart (``grids.widened``).
 
 ``adaptive_rk`` is a Dormand-Prince 5(4) embedded pair with a PI step-size
 controller.  Steps are clamped to requested sample times (if any), every

@@ -64,6 +64,11 @@ MUTANTS = {
     "mixed-partial-mirror": ("grids", "out[idx_grid + (slice(a + 1, None), a)] = mixed",
                              "out[idx_grid + (slice(a + 1, None), a)] = -mixed"),
     "stencil-index": ("grids", "(np.arange(n) - 1) % n", "(np.arange(n) - 2) % n"),
+    # grids: the constancy test of PeriodicChart.collapsed
+    "collapse-value-compare": ("grids", "np.ascontiguousarray(a).view(np.int64)",
+                               "np.ascontiguousarray(a)"),
+    "collapse-first-two-slices": ("grids", "(b == b.take([0], a)).all()",
+                                  "(b.take([1], a) == b.take([0], a)).all()"),
     # bakry_emery
     "density-ricci-factor": ("bakry_emery", "dg = -2.0 * ric_hess", "dg = -1.0 * ric_hess"),
     "density-excess-sign": ("bakry_emery", "dg = dg + 2.0 * inv_excess",

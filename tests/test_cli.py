@@ -138,6 +138,10 @@ class TestConfigValidation:
           "numerics": {"resolution": 4}}, "resolution"),
         ({"command": "flow-be", "params": {"N": 5}, "numerics": {"resolution": 4}},
          "resolution"),
+        ({"command": "flow-be", "params": {"N": 5}, "numerics": {"resolution": 1}},
+         "resolution"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"resolution": 1}}, "resolution"),
         ({"command": "flow-be", "params": {"N": 2}, "numerics": {"t_end": 0.01}}, "params.N"),
         ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 3, "c": 1.0}},
          "n = 3"),
@@ -181,7 +185,8 @@ class TestConfigValidation:
         ({"command": "curvature", "geometry": "berger",
           "params": {"lambda1": 1.0, "lambda2": 2.0}}, "'berger'"),
     ], ids=["tol-string", "tol-zero", "lambda1-string", "n-string", "c-string",
-            "resolution-string", "resolution-4-bundle", "resolution-4-be", "N-equals-n",
+            "resolution-string", "resolution-4-bundle", "resolution-4-be", "resolution-1-be",
+            "resolution-1-bundle", "N-equals-n",
             "bundle-n-3", "checks-string", "checks-empty", "outputs-number", "point-string", "point-short",
             "sol3-point-x-0", "be-params-typo", "ode-params-typo", "bundle-params-case",
             "curvature-params-extra", "geometry-list", "style-string", "style-number",

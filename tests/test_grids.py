@@ -38,6 +38,11 @@ class TestPeriodicChart:
         with pytest.raises(DomainError):
             PeriodicChart(extents, res)
 
+    @pytest.mark.parametrize("res", [(8, 0), (8, 2), (7, 1)])
+    def test_resolutions_between_one_and_eight_rejected(self, res):
+        with pytest.raises(DomainError):
+            PeriodicChart((1.0, 1.0), res)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
             PeriodicChart((1.0, 1.0), (8,))
@@ -180,3 +185,54 @@ class TestDerivatives:
         assert g.shape == c.resolution + (2,)
         assert np.max(np.abs(g[..., 1])) < 1e-12
 
+
+
+class TestCollapsedChart:
+    """``PeriodicChart.collapsed``: one node on each axis along which every
+    array is bitwise constant, at the same spacing and origin."""
+
+    def test_constant_axes_collapse_at_the_same_spacing_and_origin(self):
+        c = PeriodicChart((2.0, 3.0, 1.5), (8, 12, 10), (-1.0, 0.5, 0.0))
+        x = c.grid_coords()
+        along_x = np.sin(x[..., 0])
+        assert c.collapsed(along_x) == PeriodicChart((2.0, 0.25, 0.15), (8, 1, 1),
+                                                     (-1.0, 0.5, 0.0))
+        collapsed = c.collapsed(along_x, np.ones(c.resolution + (2, 2)))
+        assert collapsed.spacing == c.spacing and collapsed.origin == c.origin
+        assert c.collapsed(along_x, np.cos(x[..., 2])).resolution == (8, 1, 10)
+        assert c.collapsed(np.zeros(c.resolution)).resolution == (1, 1, 1)
+        assert c.collapsed(x[..., 0] + x[..., 1] + x[..., 2]) is c
+
+    def test_a_zero_of_the_other_sign_is_not_constant(self):
+        # -0.0 == +0.0 as values, but not as bits: the axis keeps its nodes
+        c = PeriodicChart((1.0, 1.0), (8, 8))
+        v = np.zeros(c.resolution + (2,))
+        v[:, 5, 1] = -0.0
+        assert c.collapsed(v) == PeriodicChart((0.125, 1.0), (1, 8))
+
+    def test_every_slice_is_compared(self):
+        # the first two slices along y agree and the third does not
+        c = PeriodicChart((1.0, 1.0), (8, 8))
+        v = np.ones(c.resolution)
+        v[4, 2] = 2.0
+        assert c.collapsed(v).resolution == (8, 8)
+        v[:, 2] = 2.0
+        assert c.collapsed(v).resolution == (1, 8)
+
+    def test_one_node_axis_stencils_are_exactly_zero(self):
+        # on a one-node axis the stencils give +0.0 and the other axes the bits
+        # of the full chart, whose nodes along that axis repeat
+        full = PeriodicChart((2.0, 3.0), (16, 8))
+        one = full.collapsed(np.arange(16.0)[:, None].repeat(8, 1))
+        assert one.resolution == (16, 1) and one.spacing == full.spacing
+        v = np.exp(np.sin(one.grid_coords()[..., 0]))[..., None] * np.array([1.0, -2.0])
+        dv = grad(v, one)
+        assert np.array_equal(dv[:, :, 1], np.zeros((16, 1, 2)))
+        assert not np.signbit(dv[:, :, 1]).any()
+        dd = second_derivs(v, one, dv)
+        for a, b in ((0, 1), (1, 0), (1, 1)):
+            assert np.array_equal(dd[:, :, a, b], np.zeros((16, 1, 2)))
+            assert not np.signbit(dd[:, :, a, b]).any()
+        wide = np.broadcast_to(v, (16, 8, 2))
+        assert grad(wide, full)[:, :1].tobytes() == dv.tobytes()
+        assert second_derivs(wide, full, grad(wide, full))[:, :1].tobytes() == dd.tobytes()

@@ -14,6 +14,7 @@ from bundleflow.catalog import heisenberg_bundle_fields
 from bundleflow.errors import DomainError, SingularMetric, StepRejected, StepUnderflow
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField
 from bundleflow.integrate import adaptive_rk, rk4_step
+from test_field_pins import bundle_fields, density_fields, x_only_fields
 
 
 class TestRk4Step:
@@ -158,6 +159,30 @@ def bundle_state(c=1.0):
     return BundleState(*heisenberg_bundle_fields(1, c), 0.0)
 
 
+def non_uniform_density_state(N=np.inf):
+    chart, g, f = density_fields(12)
+    return BEState(MetricField(chart, g), ScalarField(chart, f), N)
+
+
+def non_uniform_bundle_state():
+    return BundleState(*bundle_fields(2, 1, 13), 0.0)
+
+
+def running_chart(state):
+    """The chart a flow from ``state`` steps on: its own, collapsed along the
+    axes every field of the state is constant on."""
+    fields = (state.g, state.f) if isinstance(state, BEState) else (state.g, state.Q, state.alpha)
+    return state.g.chart.collapsed(*(f.values for f in fields))
+
+
+def run_density_states(state0, dt, t_end):
+    return be_integrate(state0, dt, t_end, (0, 1)).states
+
+
+def run_bundle_states(state0, dt, t_end):
+    return bundle_integrate(state0, dt, t_end)[0]
+
+
 def min_eig(values):
     return float(np.min(np.linalg.eigvalsh(values)))
 
@@ -241,6 +266,24 @@ class TestFixedStepDriver:
         s = bundle_state()
         with pytest.raises(SingularMetric, match=r"not positive definite at node \(3, 5\)"):
             bundle_integrate(BundleState(indefinite_at_3_5(s.g), s.Q, s.alpha, 0.0), 1e-3, 1e-2)
+
+    def test_start_metric_failing_along_a_collapsed_axis_names_the_full_chart_node(self):
+        # g fails on the row x = 5 and stays constant along y, so the flow runs
+        # on one y node and names the node the full chart names first
+        def indefinite_at_row_5(g):
+            v = g.values.copy()
+            v[5, :] = np.diag([1.0, -1.0])
+            return MetricField(g.chart, v)
+
+        s = density_state()
+        assert running_chart(BEState(indefinite_at_row_5(s.g), s.f, s.N)).resolution == (16, 1)
+        with pytest.raises(SingularMetric, match=r"not positive definite at node \(5, 0\)"):
+            be_integrate(BEState(indefinite_at_row_5(s.g), s.f, s.N), 1e-3, 1e-2, (0,))
+        s = bundle_state()
+        assert running_chart(BundleState(indefinite_at_row_5(s.g), s.Q, s.alpha, 0.0)
+                             ).resolution == (16, 1)
+        with pytest.raises(SingularMetric, match=r"not positive definite at node \(5, 0\)"):
+            bundle_integrate(BundleState(indefinite_at_row_5(s.g), s.Q, s.alpha, 0.0), 1e-3, 1e-2)
 
     def test_extinction_guard_fires_at_equality(self, monkeypatch):
         # Q of the constant Heisenberg data starts at exactly 1 and shrinks,
@@ -336,23 +379,29 @@ class TestFixedStepDriver:
 class TestOneFactorizationPerAcceptedState:
     """An accepted state is factored once; its factorization gives the next k1."""
 
-    @pytest.mark.parametrize("state0, run", [
-        (density_state, lambda s: be_integrate(s, 1e-3, 3e-3, (0, 1)).states),
-        (bundle_state, lambda s: bundle_integrate(s, 1e-3, 3e-3)[0]),
-    ])
-    def test_four_choleskys_and_eigensolves_of_g_per_step(self, monkeypatch, state0, run):
+    @pytest.mark.parametrize("state0, run, resolution", [
+        (density_state, run_density_states, (16, 1)),
+        (bundle_state, run_bundle_states, (1, 1)),
+        (non_uniform_density_state, run_density_states, (8, 8)),
+        (non_uniform_bundle_state, run_bundle_states, (8, 8)),
+    ], ids=["density", "bundle", "non-uniform-density", "non-uniform-bundle"])
+    def test_four_choleskys_and_eigensolves_of_g_per_step(self, monkeypatch, state0, run,
+                                                          resolution):
         state0 = state0()
+        # count g's factorizations on the chart the flow runs on
+        assert running_chart(state0).resolution == resolution
+        shape = resolution + state0.g.values.shape[-2:]
         counts = Counter()
         for name in ("cholesky", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def counted(a, _name=name, _fn=original, **kwargs):
-                if np.shape(a) == state0.g.values.shape:
+                if np.shape(a) == shape:
                     counts[_name] += 1
                 return _fn(a, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        steps = len(run(state0)) - 1
+        steps = len(run(state0, 1e-3, 3e-3)) - 1
         assert steps == 3
         # Stages 2-4 invert g without an eigensolve, so only the accepted
         # state's factorization solves for eigenvalues.  Plus the one
@@ -414,3 +463,56 @@ class TestOneFactorizationPerAcceptedState:
         states, _ = run(1e-3, 1e-3, record_every=1)
         assert tried[:2] == [1e-3, 5e-4]
         assert states[1].t == 5e-4
+
+
+class TestCollapsedRun:
+    """A flow runs on its start's collapsed chart to the bits that its step
+    functions, driven by hand on the full chart, give at every node."""
+
+    DT = 2.0 ** -9      # exact sums of steps, so the driver's last step is DT too
+
+    @pytest.mark.parametrize("state0, resolution", [
+        (lambda: BundleState(*heisenberg_bundle_fields(1, 1.1), 0.0), (1, 1)),
+        (lambda: BundleState(*x_only_fields(17), 0.0), (8, 1, 1, 1)),
+        (non_uniform_bundle_state, (8, 8)),
+    ], ids=["heisenberg", "x-only", "non-uniform"])
+    def test_bundle_records_equal_full_chart_steps(self, state0, resolution):
+        state0, steps = state0(), 3
+        assert running_chart(state0).resolution == resolution
+        records, stop = bundle_integrate(state0, self.DT, steps * self.DT)
+        assert stop == "Horizon" and len(records) == steps + 1
+        cur = bundle._factor(state0)
+        for i, r in enumerate(records):
+            if i:
+                cur = bundle._bundle_step(cur, self.DT)
+            s = cur.state
+            assert (r.t, r.min_eig_g, r.min_eig_q) == (s.t, *cur.min_eigs)
+            for got, want in ((r.g, s.g), (r.Q, s.Q), (r.alpha, s.alpha)):
+                assert got.chart == state0.g.chart and not got.values.flags.writeable
+                assert got.values.shape == want.values.shape
+                assert got.values.tobytes() == want.values.tobytes()
+            assert np.array_equal(r.alpha.linear, state0.alpha.linear)
+
+    @pytest.mark.parametrize("state0, resolution", [
+        (lambda: bakry_emery.sine_density_start(5.0, 0.1, 32, 2.0 * np.pi), (32, 1)),
+        (lambda: non_uniform_density_state(N=5.0), (8, 8)),
+    ], ids=["sine", "non-uniform"])
+    def test_density_records_equal_full_chart_steps(self, state0, resolution):
+        state0, steps, k_values = state0(), 3, (0, 1)
+        assert running_chart(state0).resolution == resolution
+        trace = be_integrate(state0, self.DT, steps * self.DT, k_values)
+        assert trace.stop_reason == "Horizon" and len(trace.states) == steps + 1
+        cur = be_factor(state0)
+        for i, (s, m) in enumerate(zip(trace.states, trace.monitors)):
+            if i:
+                cur = be_step(cur, self.DT)
+            want = bakry_emery.monitors(cur.reuse, k_values)
+            assert s.t == cur.state.t and s.N == cur.state.N
+            for got, ref in ((s.g, cur.state.g), (s.f, cur.state.f)):
+                assert got.chart == state0.g.chart and not got.values.flags.writeable
+                assert got.values.shape == ref.values.shape
+                assert got.values.tobytes() == ref.values.tobytes()
+            assert (m.min_tildeS, m.max_grad_f_sq) == (want.min_tildeS, want.max_grad_f_sq)
+            for got, ref in ((m.barS, want.barS), (m.grad_f_sq, want.grad_f_sq),
+                             *((m.tildeS[k], want.tildeS[k]) for k in k_values)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
