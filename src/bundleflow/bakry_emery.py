@@ -5,14 +5,13 @@ The state is (g, f, N) with N != n an extended real.  The flow is
     dg/dt = -2 (Ric + Hess f - df x df / (N - n))
     df/dt = Delta f - |grad f|^2
 
-integrated in a fixed background gauge by the fixed-step RK4 driver of
-``integrate`` (step cap, halving and extinction guard are documented
-there).  Each RK stage computes its geometry once (``be_stage``) from raw
-arrays.  An accepted state is built, then factored once (``be_factor``),
-and its stage geometry gives both the next step's k1 and the state's
-monitors, so a step costs four geometry passes.  The flow runs on the
-start's ``PeriodicChart.collapsed`` chart (the ``flow-be`` sine start is
-constant along y), to the bits of the full chart.  The monitored scalars are
+integrated in a fixed background gauge by the grid-flow harness of
+``integrate`` (collapsed chart, step cap, halving and extinction guard are
+documented there; the ``flow-be`` sine start steps one column).  Each RK
+stage computes its geometry once (``be_stage``) from raw arrays.
+``be_factor`` factors an accepted state's arrays once, and their stage
+geometry gives both the next step's k1 (``be_step``) and the state's
+monitors, so a step costs four geometry passes.  The monitored scalars are
 the density scalar curvature barS = g^{bc} barRic_bc and
 
     tildeS_k = barS + Delta f - (k + 1) |grad f|^2 ,
@@ -32,9 +31,8 @@ import numpy as np
 
 from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import BlowupTime, DomainError
-from .grids import (MetricField, PeriodicChart, ScalarField, grad, require_same_chart, restrict,
-                    widened)
-from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
+from .grids import MetricField, PeriodicChart, ScalarField, grad, require_same_chart
+from .integrate import DEFAULT_C_CFL, grid_integrate
 
 
 @dataclass(frozen=True)
@@ -118,26 +116,19 @@ def monitors(stage: tuple, k_values) -> BEMonitors:
         max_grad_f_sq=float(np.max(grad_sq)))
 
 
-def be_factor(s: BEState) -> Accepted:
-    """The state factored once, with its stage geometry: what ``be_step`` takes."""
-    g_inv, min_eig = spd_factor(s.g.values)
-    return Accepted(s, (min_eig,),
-                    be_stage(s.g.chart, s.g.values, s.f.values, s.inv_excess, g_inv))
+def be_factor(chart: PeriodicChart, y: tuple, inv_excess: float) -> tuple:
+    """The arrays y = (g, f) of an accepted state factored once: ((lambda_min(g),),
+    their stage geometry), which the next k1 and the state's monitors share."""
+    g_inv, min_eig = spd_factor(y[0])
+    return (min_eig,), be_stage(chart, *y, inv_excess, g_inv)
 
 
-def be_step(cur: Accepted, dt: float) -> Accepted:
-    """One RK4 step of the density flow, halved as ``rk4_halving`` does."""
-    s = cur.state
-    chart, inv_excess = s.g.chart, s.inv_excess
-    k1 = be_rhs(cur.take_reuse())
-
-    def rhs(t, y):
-        return be_rhs(be_stage(chart, y[0], y[1], inv_excess, spd_inverse(y[0])))
-
-    def accept(t, y):
-        return be_factor(BEState(MetricField(chart, y[0]), ScalarField(chart, y[1]), s.N, t))
-
-    return rk4_halving(rhs, s.t, (s.g.values, s.f.values), k1, dt, accept)
+def be_step(chart: PeriodicChart, y: tuple, geometry: tuple, inv_excess: float) -> tuple:
+    """One RK4 step's stages of the density flow from the accepted arrays y:
+    k1 from their stage geometry, and the right-hand side of the later
+    stages, whose g^{-1} comes from ``spd_inverse``."""
+    return be_rhs(geometry), lambda y: be_rhs(be_stage(chart, *y, inv_excess,
+                                                       spd_inverse(y[0])))
 
 
 @dataclass
@@ -153,26 +144,24 @@ class BETrace:
 
 def be_integrate(s0: BEState, dt: float, t_end: float, k_values,
                  c_cfl: float = DEFAULT_C_CFL, record_every: int = 1) -> BETrace:
-    """Integrate the density flow with ``integrate.fixed_step_integrate``,
+    """Integrate the density flow with ``integrate.grid_integrate``,
     recording states and their monitors.  The extinction guard watches the
-    smallest eigenvalue of g.  The steps run on ``chart.collapsed`` of the
-    start's fields, and each record is widened back to the start's chart as
-    read-only broadcast views."""
-    full = s0.g.chart
-    chart = full.collapsed(s0.g.values, s0.f.values)
-    start = BEState(MetricField(chart, restrict(s0.g.values, chart)),
-                    ScalarField(chart, restrict(s0.f.values, chart)), s0.N, s0.t)
+    smallest eigenvalue of g.  Each record is on the start's chart, its
+    arrays read-only broadcast views."""
+    full, inv_excess = s0.g.chart, s0.inv_excess
 
-    def record(cur):
-        s, m = cur.state, monitors(cur.reuse, k_values)
+    def record(t, fields, min_eigs, geometry):
+        m = monitors(geometry, k_values)
         wide = functools.partial(np.broadcast_to, shape=full.resolution)
-        return (BEState(widened(s.g, full), widened(s.f, full), s.N, s.t),
+        return (BEState(*fields, s0.N, t),
                 BEMonitors(wide(m.barS), {k: wide(v) for k, v in m.tildeS.items()},
                            wide(m.grad_f_sq), m.min_tildeS, m.max_grad_f_sq))
 
-    records, stop_reason = fixed_step_integrate(
-        be_step, be_factor, record, start, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl,
-        record_every=record_every)
+    records, stop_reason = grid_integrate(
+        (s0.g, s0.f), s0.t,
+        lambda chart, y, geometry: be_step(chart, y, geometry, inv_excess),
+        lambda chart, y: be_factor(chart, y, inv_excess),
+        record, dt, t_end, c_cfl, record_every)
     states, mons = (list(x) for x in zip(*records))
     return BETrace(states, mons, stop_reason)
 

@@ -16,13 +16,11 @@ matmuls over flattened index pairs, and the tests hold the two against
 each other.
 
 The torus-bundle flow of (g, Q, alpha) on a periodic chart runs on the
-fixed-step RK4 driver of ``integrate`` (step cap, halving and extinction
-guard are documented there).  Each stage computes the base geometry once
-(``diffgeo.base_geometry``) from raw arrays; an accepted state is built, then
-factored once (``_factor``), and its g^{-1} and Q^{-1} give the next step's k1.
-The flow runs on the start's ``PeriodicChart.collapsed`` chart, so a start
-constant along an axis (every Heisenberg start is constant everywhere) is
-computed at one node there, to the bits of the full chart.
+grid-flow harness of ``integrate`` (collapsed chart, step cap, halving and
+extinction guard are documented there; every Heisenberg start steps one
+node).  Each stage computes the base geometry once (``diffgeo.base_geometry``)
+from raw arrays; ``_factor`` factors an accepted state's arrays once, and
+their g^{-1} and Q^{-1} give the next step's k1 (``_stages``).
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ import numpy as np
 from .diffgeo import base_geometry, hessian_field, spd_factor, spd_inverse
 from .errors import DimensionMismatch, DomainError
 from .grids import (ConnectionField, MetricField, PeriodicChart, QField, ScalarField, deriv,
-                    grad, require_same_chart, restrict, second_derivs, widened)
-from .integrate import DEFAULT_C_CFL, Accepted, fixed_step_integrate, rk4_halving
+                    grad, require_same_chart, second_derivs)
+from .integrate import DEFAULT_C_CFL, grid_integrate
 
 BLOCK_SYMMETRY_TOL = 1e-10
 
@@ -412,49 +410,33 @@ class BundleRecord(BundleState):
     min_eig_q: float
 
 
-def _factor(s: BundleState) -> Accepted:
-    """The state factored once; its g^{-1} and Q^{-1} give the next step's k1."""
-    (g_inv, min_g), (q_inv, min_q) = spd_factor(s.g.values), spd_factor(s.Q.values)
-    return Accepted(s, (min_g, min_q), (g_inv, q_inv))
+def _factor(chart: PeriodicChart, y: tuple) -> tuple:
+    """The arrays y = (g, Q, a) of an accepted state factored once: their
+    smallest eigenvalues, and g^{-1} and Q^{-1} for the next step's k1."""
+    (g_inv, min_g), (q_inv, min_q) = spd_factor(y[0]), spd_factor(y[1])
+    return (min_g, min_q), (g_inv, q_inv)
 
 
-def _bundle_step(cur: Accepted, dt: float) -> Accepted:
-    """One RK4 step of the torus-bundle flow, halved as ``rk4_halving`` does."""
-    s = cur.state
-    chart, q, linear = s.g.chart, s.Q.q, s.alpha.linear
-    lin = s.alpha.curvature_linear_part()
+def _stages(chart: PeriodicChart, y: tuple, inverses: tuple, linear_curvature: np.ndarray):
+    """One RK4 step's stages of the torus-bundle flow from the accepted arrays
+    y: k1 from their inverses, and the right-hand side of the later stages,
+    whose inverses come from ``spd_inverse``."""
+    def rhs(y, *inverses):
+        return flow_rhs_from_data(bundle_data_from_fields(chart, *y, linear_curvature, *inverses))
 
-    def rhs(t, y):
-        return flow_rhs_from_data(bundle_data_from_fields(
-            chart, *y, lin, spd_inverse(y[0]), spd_inverse(y[1])))
-
-    def accept(t, y):
-        return _factor(BundleState(MetricField(chart, y[0]), QField(chart, q, y[1]),
-                                   ConnectionField(chart, q, y[2], linear), t))
-
-    y = (s.g.values, s.Q.values, s.alpha.values)
-    k1 = flow_rhs_from_data(bundle_data_from_fields(chart, *y, lin, *cur.take_reuse()))
-    return rk4_halving(rhs, s.t, y, k1, dt, accept)
+    return rhs(y, *inverses), lambda y: rhs(y, spd_inverse(y[0]), spd_inverse(y[1]))
 
 
 def bundle_integrate(state0: BundleState, dt: float, t_end: float,
                      record_every: int = 1, c_cfl: float = DEFAULT_C_CFL):
     """Integrate the torus-bundle flow on a periodic chart with
-    ``integrate.fixed_step_integrate``.  The extinction guard watches the
-    smallest eigenvalues of g and of Q.  Returns (records, stop_reason), each
-    record a ``BundleRecord`` on the start's chart.
-
-    The steps run on ``chart.collapsed`` of the start's fields, and each
-    record is ``grids.widened`` back, its values read-only broadcast views.
-    """
-    full, q, alpha = state0.g.chart, state0.Q.q, state0.alpha
-    chart = full.collapsed(state0.g.values, state0.Q.values, alpha.values)
-    start = BundleState(MetricField(chart, restrict(state0.g.values, chart)),
-                        QField(chart, q, restrict(state0.Q.values, chart)),
-                        ConnectionField(chart, q, restrict(alpha.values, chart), alpha.linear),
-                        state0.t)
-    return fixed_step_integrate(
-        _bundle_step, _factor,
-        lambda c: BundleRecord(*(widened(f, full) for f in (c.state.g, c.state.Q, c.state.alpha)),
-                               c.state.t, *c.min_eigs),
-        start, dt, t_end, h_min=min(chart.spacing), c_cfl=c_cfl, record_every=record_every)
+    ``integrate.grid_integrate``.  The extinction guard watches the smallest
+    eigenvalues of g and of Q.  Returns (records, stop_reason), each record a
+    ``BundleRecord`` on the start's chart, its values read-only broadcast
+    views."""
+    lin = state0.alpha.curvature_linear_part()
+    return grid_integrate(
+        (state0.g, state0.Q, state0.alpha), state0.t,
+        lambda chart, y, inverses: _stages(chart, y, inverses, lin), _factor,
+        lambda t, fields, min_eigs, _: BundleRecord(*fields, t, *min_eigs),
+        dt, t_end, c_cfl, record_every)

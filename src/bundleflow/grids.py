@@ -7,7 +7,9 @@ Derivatives are plain second-order central differences, gathered through
 neighbour index arrays that each chart builds once.
 Fields check the values they hold where they enter: shape, finiteness and,
 for metrics, symmetry.  Whether a metric is positive definite is decided by
-``diffgeo.spd_inverse`` alone; integrator stages pass raw arrays.
+``diffgeo.spd_inverse`` alone.  A grid flow checks only its start's fields:
+it steps their raw arrays and records the start's fields with its results
+as their values (``widened``).
 """
 
 from __future__ import annotations
@@ -126,19 +128,13 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def restrict(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
-    """The first ``chart.resolution`` nodes along each grid axis of values."""
-    return values[tuple(map(slice, chart.resolution))]
-
-
-def widened(field, chart: PeriodicChart):
-    """A field on a ``chart.collapsed`` chart, back on ``chart``: the same field
-    with its values a read-only broadcast view.  Nothing is checked again,
-    since every node repeats a node of the checked field."""
+def widened(field, values: np.ndarray):
+    """``field`` with the arrays a flow computed from it on a ``chart.collapsed``
+    chart of its own as its values, a read-only broadcast view to its shape.
+    Nothing is validated: the flow's harness rejects a non-finite result and
+    ``spd_inverse`` decides its metrics."""
     out = copy.copy(field)
-    object.__setattr__(out, "chart", chart)
-    object.__setattr__(out, "values", np.broadcast_to(
-        field.values, chart.resolution + field.values.shape[chart.dims:]))
+    object.__setattr__(out, "values", np.broadcast_to(values, field.values.shape))
     return out
 
 

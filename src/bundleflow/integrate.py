@@ -1,23 +1,27 @@
 """Explicit Runge-Kutta machinery shared by every flow integrator.
 
-``fixed_step_integrate`` is the one driver of both grid flows (the density
-flow and the torus-bundle flow).  Each state it accepts is built from its
-fields, which check shape, finiteness and symmetry, and then factored
-exactly once (``diffgeo.spd_factor``, whose gate alone decides positivity);
-the exact smallest eigenvalues cap the step at c_cfl * h_min^2 *
-lambda_min(g) and feed the extinction guard, and the factorization gives the
-next step's first stage k1 (first same as last, like ``adaptive_rk``'s
-``k_first``).  Each step is classical RK4 on a tuple of arrays
-(``rk4_step``).  A step whose later stages or result are not positive
-definite or exceed the condition cap (``SingularMetric``, raised by
-``diffgeo.spd_inverse`` alone) is halved and retried from the same k1, up
-to ``MAX_HALVINGS`` times, then ``StepRejected`` is raised.  After every
+``grid_integrate`` is the one harness of both grid flows (the density flow
+and the torus-bundle flow).  It takes the start's validated fields and
+steps the arrays of their ``PeriodicChart.collapsed`` chart, so a start
+constant along an axis is computed at one node there, to the bits of the
+full chart.  Each accepted state is (t, arrays, min_eigs, reuse), made by
+the flow's ``factor``: the arrays factored once (``diffgeo.spd_factor``,
+whose gate alone decides positivity), their exact smallest eigenvalues,
+which cap the step at c_cfl * h_min^2 * lambda_min(g) and feed the
+extinction guard, and what the flow forms the next step's first stage k1
+from (first same as last, like ``adaptive_rk``'s ``k_first``).  Each step
+is classical RK4 on the tuple of arrays (``rk4_step``).  A step is halved
+and retried from the same k1 while a later stage or the result has a
+metric that ``diffgeo.spd_inverse`` rejects or the result has a non-finite
+entry (``SingularMetric`` for both, naming the node); after
+``MAX_HALVINGS`` halvings ``StepRejected`` is raised.  After every
 accepted step the smallest eigenvalue of each positive-definite array is
 compared with ``EXTINCTION_RATIO`` times its initial value; at or below it
 the crossing state is recorded and the run stops with "ExtinctionGuard".
-Otherwise every ``record_every``-th state and the final one are recorded.
-Both flows hand it their start on its ``PeriodicChart.collapsed`` chart and
-widen each record back to the start's chart (``grids.widened``).
+Otherwise every ``record_every``-th state and the final one are recorded,
+built from the start's fields with the state's arrays as read-only
+broadcast views (``grids.widened``), so no field is validated after the
+start.
 
 ``adaptive_rk`` is a Dormand-Prince 5(4) embedded pair with a PI step-size
 controller.  Steps are clamped to requested sample times (if any), every
@@ -39,11 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularMetric, StepRejected, StepUnderflow
+from .grids import widened
 
 # Dormand-Prince 5(4) tableau
 _A = (
@@ -67,76 +72,84 @@ DEFAULT_C_CFL = 0.2     # step cap factor of both grid flows
 DEFAULT_TOL = 1e-9      # relative tolerance of the reduced flows
 
 
-def rk4_step(f: Callable, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
-    """One classical fourth-order step of y' = f(t, y) for a tuple of arrays y,
-    from its first stage k1 = f(t, y)."""
+def rk4_step(f: Callable, y: tuple, dt: float, k1: tuple) -> tuple:
+    """One classical fourth-order step of y' = f(y) for a tuple of arrays y,
+    from its first stage k1 = f(y)."""
     def shifted(k, c):
         return tuple(yi + c * ki for yi, ki in zip(y, k))
 
-    k2 = f(t + 0.5 * dt, shifted(k1, 0.5 * dt))
-    k3 = f(t + 0.5 * dt, shifted(k2, 0.5 * dt))
-    k4 = f(t + dt, shifted(k3, dt))
+    k2 = f(shifted(k1, 0.5 * dt))
+    k3 = f(shifted(k2, 0.5 * dt))
+    k4 = f(shifted(k3, dt))
     return tuple(yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
-def rk4_halving(f: Callable, t: float, y: tuple, k1: tuple, dt: float, accept: Callable):
-    """One RK4 step from y and its first stage k1, halving dt while a later
-    stage or the result is rejected; every retry reuses k1.
+def _require_finite(chart, y: tuple) -> None:
+    """Reject a step result with a non-finite entry, naming the first such
+    node as ``spd_inverse`` names the nodes it rejects."""
+    for a in y:
+        finite = np.isfinite(a)
+        if not finite.all():
+            at_node = finite.reshape(chart.resolution + (-1,)).all(-1)
+            node = tuple(int(i) for i in np.unravel_index(np.argmin(at_node), chart.resolution))
+            raise SingularMetric(f"step result has a non-finite entry at node {node}")
 
-    ``accept(t_new, y_new)`` builds the new state, factors it and returns the
-    caller's next ``Accepted``.  It rejects a result that is not positive
-    definite or is above the condition cap, so such a step is halved, not
-    accepted.  Raises StepRejected after ``MAX_HALVINGS`` halvings.
+
+def rk4_halving(stages: Callable, factor: Callable, chart, state: tuple, dt: float) -> tuple:
+    """The accepted state after ``state`` = (t, y, min_eigs, reuse): one RK4
+    step, halved while a later stage or the result is rejected, every retry
+    from the same k1.  ``stages(chart, y, reuse)`` gives k1 and the
+    right-hand side of the later stages; ``factor(chart, y)`` gives
+    (min_eigs, reuse) of a finite result.  Raises StepRejected after
+    ``MAX_HALVINGS`` halvings.
     """
+    t, y, _, reuse = state
+    k1, rhs = stages(chart, y, reuse)
     for _ in range(MAX_HALVINGS + 1):
         try:
-            return accept(t + dt, rk4_step(f, t, y, dt, k1))
+            y_new = rk4_step(rhs, y, dt, k1)
+            _require_finite(chart, y_new)
+            return (t + dt, y_new, *factor(chart, y_new))
         except SingularMetric:
             dt *= 0.5
     raise StepRejected(f"step kept failing after {MAX_HALVINGS} halvings at t={t:g}")
 
 
-@dataclass
-class Accepted:
-    """An accepted state, the smallest eigenvalue over the grid of each of its
-    SPD arrays (base metric first), and what the next step's k1 reuses.  The
-    step takes ``reuse`` away, so it is freed once k1 is formed."""
+def grid_integrate(fields: tuple, t0: float, stages: Callable, factor: Callable,
+                   record: Callable, dt: float, t_end: float, c_cfl: float, record_every: int):
+    """Integrate a grid flow from its validated start ``fields`` at t0 to t_end.
 
-    state: Any
-    min_eigs: tuple
-    reuse: Any
-
-    def take_reuse(self):
-        reuse, self.reuse = self.reuse, None
-        return reuse
-
-
-def fixed_step_integrate(step: Callable, factor: Callable, record: Callable, state0,
-                         dt: float, t_end: float, h_min: float, c_cfl: float, record_every: int):
-    """Drive ``step(current, dt) -> current`` from ``state0.t`` to t_end.
-
-    The current state is an ``Accepted``: ``factor(state0)`` makes the first,
-    ``step`` each next one.  ``record(current)`` is stored for each recorded
-    state; it must not keep ``reuse``.  Returns (records, stop_reason).
+    ``stages`` and ``factor`` are those of ``rk4_halving``, and
+    ``record(t, fields, min_eigs, reuse)`` is stored for each recorded state;
+    it must not keep ``reuse``.  Returns (records, stop_reason).
     """
-    if (not (dt > 0 and t_end > state0.t and c_cfl > 0)
+    if (not (dt > 0 and t_end > t0 and c_cfl > 0)
             or not isinstance(record_every, Integral) or record_every < 1):
         raise DomainError(
             "need dt > 0, t_end > start time, c_cfl > 0 and an integer record_every >= 1, "
             f"got dt={dt!r}, t_end={t_end!r}, c_cfl={c_cfl!r}, record_every={record_every!r}")
-    cur = factor(state0)
-    guards = [EXTINCTION_RATIO * m for m in cur.min_eigs]
-    records = [record(cur)]
+    chart = fields[0].chart.collapsed(*(f.values for f in fields))
+    nodes = tuple(map(slice, chart.resolution))
+    y0 = tuple(f.values[nodes] for f in fields)
+    state = (t0, y0, *factor(chart, y0))
+
+    def recorded(state):
+        t, y, min_eigs, reuse = state
+        return record(t, tuple(widened(f, v) for f, v in zip(fields, y)), min_eigs, reuse)
+
+    h_min = min(chart.spacing)
+    guards = [EXTINCTION_RATIO * m for m in state[2]]
+    records = [recorded(state)]
     stop_reason = "Horizon"
     step_index = 0
-    while cur.state.t < t_end - MIN_STEP:
-        cap = c_cfl * h_min * h_min * max(cur.min_eigs[0], 1e-300)
-        cur = step(cur, min(dt, cap, t_end - cur.state.t))
+    while state[0] < t_end - MIN_STEP:
+        cap = c_cfl * h_min * h_min * max(state[2][0], 1e-300)
+        state = rk4_halving(stages, factor, chart, state, min(dt, cap, t_end - state[0]))
         step_index += 1
-        crossed = any(m <= g for m, g in zip(cur.min_eigs, guards))
-        if crossed or step_index % record_every == 0 or cur.state.t >= t_end - MIN_STEP:
-            records.append(record(cur))
+        crossed = any(m <= g for m, g in zip(state[2], guards))
+        if crossed or step_index % record_every == 0 or state[0] >= t_end - MIN_STEP:
+            records.append(recorded(state))
         if crossed:
             stop_reason = "ExtinctionGuard"
             break

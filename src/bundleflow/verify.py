@@ -22,7 +22,7 @@ from .bundle import (BundleState, PointwiseBundleData, StructureConstants,
 from .catalog import (berger, heisenberg, heisenberg_bundle_fields, heisenberg_c_of_t,
                       sl2r, sol3, su2_invariant_metric, su2_sigma)
 from .cli import _resolved
-from .diffgeo import DEFAULT_ORACLE_STEP, CoordinateMetric
+from .diffgeo import DEFAULT_ORACLE_STEP, CoordinateMetric, spd_inverse
 from .diffgeo import ricci as ricci_oracle
 from .errors import BundleFlowError
 from .grids import MetricField, PeriodicChart, ScalarField
@@ -419,7 +419,8 @@ def check_warped_product() -> CheckResult:
         g = MetricField(chart, g_vals)
         f = ScalarField(chart, f_vals)
         state = be.BEState(g, f, N=2 + q)
-        dg_be, df_be = be.be_rhs(be.be_factor(state).reuse)
+        dg_be, df_be = be.be_rhs(be.be_stage(chart, g.values, f.values, state.inv_excess,
+                                             spd_inverse(g.values)))
         data = warped_product_data(g, f, q)
         dg_fl, dq_fl, _ = flow_rhs_from_data(data)
         df_fl = -(q / 2.0) * dq_fl[..., 0, 0] / data.Q[..., 0, 0]

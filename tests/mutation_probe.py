@@ -36,8 +36,8 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 # name -> (module, original fragment, mutated fragment)
 MUTANTS = {
     # integrate
-    "rk4-midpoint-stage": ("integrate", "k2 = f(t + 0.5 * dt, shifted(k1, 0.5 * dt))",
-                           "k2 = f(t + 0.5 * dt, shifted(k1, dt))"),
+    "rk4-midpoint-stage": ("integrate", "k2 = f(shifted(k1, 0.5 * dt))",
+                           "k2 = f(shifted(k1, dt))"),
     "rk4-weights": ("integrate", "(a + 2.0 * b + 2.0 * c + d)", "(a + 2.0 * b + c + d)"),
     "halving-factor": ("integrate", "dt *= 0.5", "dt *= 0.25"),
     "cfl-cap-h-squared": ("integrate", "cap = c_cfl * h_min * h_min *", "cap = c_cfl * h_min *"),
@@ -45,6 +45,9 @@ MUTANTS = {
     "record-cadence": ("integrate", "step_index % record_every == 0",
                        "step_index % record_every == 1"),
     "dp-accept-test": ("integrate", "if err <= 1.0:", "if err <= 10.0:"),
+    # integrate: the finiteness gate of a grid step's result
+    "finite-gate-dropped": ("integrate", "_require_finite(chart, y_new)", "None"),
+    "finite-gate-any-node": ("integrate", "if not finite.all():", "if not finite.any():"),
     # diffgeo
     "christoffel-lowered-sign": ("diffgeo", "low = dg_n + np.swapaxes(dg_n, -1, -2) - dg",
                                  "low = dg_n + np.swapaxes(dg_n, -1, -2) + dg"),

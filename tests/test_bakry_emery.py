@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from bundleflow import integrate
-from bundleflow.bakry_emery import (BEState, be_factor, be_integrate, be_rhs, be_step,
-                                    gradient_bound, monitors)
+from bundleflow.bakry_emery import (BEState, be_integrate, be_rhs, be_stage, gradient_bound,
+                                    monitors)
 from bundleflow.diffgeo import christoffel_field, ricci_field_with_defect, spd_inverse
 from bundleflow.errors import BlowupTime, ChartMismatch, DomainError
 from bundleflow.grids import MetricField, PeriodicChart, ScalarField
 from scalar_reference import drift_laplacian_field, grad_norm_sq_field, laplacian_field
+from test_integrate import density_steps
+
+
+def geometry(s: BEState):
+    """The stage geometry ``be_stage`` computes at the state s."""
+    return be_stage(s.g.chart, s.g.values, s.f.values, s.inv_excess, spd_inverse(s.g.values))
 
 
 def rhs(g, f, N):
-    """``be_rhs`` at the state (g, f, N), from its factored stage geometry."""
-    return be_rhs(be_factor(BEState(g, f, N)).reuse)
+    """``be_rhs`` at the state (g, f, N), from its stage geometry."""
+    return be_rhs(geometry(BEState(g, f, N)))
 
 
 def flat_setup(res=48, L=2.0 * np.pi, amp=0.0):
@@ -98,7 +104,7 @@ class TestMonitors:
     def test_definitional_recomputation(self):
         _, g, f, _ = flat_setup(amp=0.15)
         state = BEState(g, f, 6)
-        mon = monitors(be_factor(state).reuse, k_values=(0, 1, 3))
+        mon = monitors(geometry(state), k_values=(0, 1, 3))
         lap = laplacian_field(f, g)
         for k, field in mon.tildeS.items():
             rebuilt = mon.barS + lap - (k + 1) * mon.grad_f_sq
@@ -107,7 +113,7 @@ class TestMonitors:
     def test_scalar_curvature_case_flat(self):
         # on a flat chart with density: barS = lap f - |grad f|^2 / (N - n)
         _, g, f, x = flat_setup(amp=0.3, res=96)
-        mon = monitors(be_factor(BEState(g, f, np.inf)).reuse, k_values=(0,))
+        mon = monitors(geometry(BEState(g, f, np.inf)), k_values=(0,))
         expected = -0.3 * np.sin(x)
         assert np.max(np.abs(mon.barS - expected)) < 5e-4
 
@@ -149,7 +155,7 @@ class TestGradientBound:
         assert gradient_bound(0.25, 1.0, 2, 1) == pytest.approx(2.0)
 
     def test_blowup_horizon(self):
-        with pytest.raises(BlowupTime):
+        with pytest.raises(BlowupTime, match=r"t < 0\.5 "):
             gradient_bound(0.5, 1.0, 2, 1)
         assert gradient_bound(0.4999999, 1.0, 2, 1) > 1e6
 
@@ -161,7 +167,7 @@ class TestGradientBound:
 class TestBeStep:
     def test_single_step_matches_integrate(self):
         _, g, f, _ = flat_setup(res=16, amp=0.05)
-        s0 = BEState(g, f, 5)
-        s1 = be_step(be_factor(s0), 1e-3).state
-        assert s1.t == pytest.approx(1e-3)
-        assert np.max(np.abs(s1.f.values - f.values)) > 0.0
+        step, state = density_steps(BEState(g, f, 5))
+        t1, (_, f1), _, _ = step(state, 1e-3)
+        assert t1 == pytest.approx(1e-3)
+        assert np.max(np.abs(f1 - f.values)) > 0.0

@@ -417,7 +417,7 @@ class TestWarpedProduct:
         assert np.allclose(f[..., 0, 1, 0], 1.0)
 
     def test_reduces_to_density_rhs(self):
-        from bundleflow.bakry_emery import BEState, be_factor, be_rhs
+        from bundleflow.bakry_emery import BEState, be_rhs, be_stage
         chart = PeriodicChart((2 * np.pi, 2 * np.pi), (16, 16))
         coords = chart.grid_coords()
         x, y = coords[..., 0], coords[..., 1]
@@ -428,7 +428,9 @@ class TestWarpedProduct:
         g = MetricField(chart, gv)
         f = ScalarField(chart, 0.2 * np.sin(x) + 0.1 * np.cos(2 * y))
         q = 2
-        dg_be, df_be = be_rhs(be_factor(BEState(g, f, N=2 + q)).reuse)
+        state = BEState(g, f, N=2 + q)
+        dg_be, df_be = be_rhs(be_stage(chart, g.values, f.values, state.inv_excess,
+                                       spd_inverse(g.values)))
         dg_fl, dq_fl, _ = flow_rhs_from_data(warped_product_data(g, f, q))
         df_fl = -(q / 2.0) * dq_fl[..., 0, 0] / np.exp(-2.0 * f.values / q)
         assert np.max(np.abs(dg_be - dg_fl)) < 1e-12 * np.max(np.abs(dg_be))

@@ -229,6 +229,15 @@ class TestSpdInverse:
         with pytest.raises(SingularMetric):
             spd_inverse(np.diag([1.0, 1e-13]))
 
+    def test_well_conditioned_stack_runs_no_eigensolve(self, monkeypatch):
+        # the norm bound clears every node, so no eigenvalue is computed
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a well-conditioned stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        stack = np.broadcast_to(np.diag([1.0, 4.0]), (8, 8, 2, 2))
+        assert np.array_equal(spd_inverse(stack)[3, 5], np.diag([1.0, 0.25]))
+
     def test_condition_cap_is_per_node(self):
         # each node is perfectly conditioned; only the stack spans 13 decades
         stack = np.stack([np.eye(3) * 1e-7, np.eye(3) * 1e6])

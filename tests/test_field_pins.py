@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from bundleflow import bakry_emery as be
+from bundleflow import integrate
 from bundleflow.bundle import (BundleState, bundle_data_from_fields, bundle_integrate,
                               flow_rhs_from_data)
 from bundleflow.catalog import heisenberg_bundle_fields
@@ -140,20 +141,20 @@ def density_halving(monkeypatch) -> str:
     """dt 2.5 with no step cap: the steps halve until one is rejected
     outright; pins every accepted state and the message."""
     accepted = []
-    step = be.be_step
+    step = integrate.rk4_halving
 
-    def watched(cur, dt):
-        nxt = step(cur, dt)
-        accepted.append(nxt.state)
+    def watched(*args):
+        nxt = step(*args)
+        accepted.append(nxt)
         return nxt
 
-    monkeypatch.setattr(be, "be_step", watched)
+    monkeypatch.setattr(integrate, "rk4_halving", watched)
     chart, g, f = density_fields(14, amp=0.5)
     with pytest.raises(StepRejected) as err:
         be.be_integrate(be.BEState(MetricField(chart, g), ScalarField(chart, f), 5.0),
                         2.5, 2.5, (0, 1), c_cfl=1e9)
     assert accepted
-    arrays = [a for s in accepted for a in ([s.t], s.g.values, s.f.values)]
+    arrays = [a for t, (g, f), _, _ in accepted for a in ([t], g, f)]
     return digest(*arrays) + " " + str(err.value)
 
 

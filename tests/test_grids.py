@@ -47,6 +47,11 @@ class TestPeriodicChart:
         with pytest.raises(DimensionMismatch):
             PeriodicChart((1.0, 1.0), (8,))
 
+    def test_chart_numpy_cannot_size_rejected_before_any_allocation(self):
+        # 2**61 nodes of 8-byte floats are 2**64 bytes: past a signed index
+        with pytest.raises(MemoryError):
+            PeriodicChart((1.0,), (2**61,))
+
     def test_cached_stencil_data_keeps_equality_and_is_read_only(self):
         used = PeriodicChart((1.0, 2.0), (8, 9))
         grad(np.zeros(used.resolution), used)

@@ -1,5 +1,6 @@
-"""Shared Runge-Kutta machinery and the fixed-step driver of both grid flows."""
+"""Shared Runge-Kutta machinery and the fixed-step harness of both grid flows."""
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -7,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bundleflow import bakry_emery, bundle, diffgeo, integrate
+from bundleflow import bakry_emery, bundle, diffgeo, grids, integrate
 from bundleflow.bakry_emery import BEState, be_factor, be_integrate, be_rhs, be_stage, be_step
 from bundleflow.bundle import BundleState, bundle_integrate, flow_rhs_from_data
 from bundleflow.catalog import heisenberg_bundle_fields
@@ -19,22 +20,25 @@ from test_field_pins import bundle_fields, density_fields, x_only_fields
 
 class TestRk4Step:
     def test_exact_on_cubics(self):
-        # dy/dt = 3 t^2  ->  y = t^3, reproduced exactly by a fourth-order step
-        def f(t, y):
-            return (np.array([3 * t * t]),)
+        # dy/dt = 3 t^2  ->  y = t^3, reproduced exactly by a fourth-order step;
+        # t is the first component of the state, dt/dt = 1
+        def f(v):
+            return (np.array([1.0]), 3 * v[0] * v[0])
 
-        (y,) = rk4_step(f, 0.0, (np.array([0.0]),), 0.5, f(0.0, None))
+        y0 = (np.array([0.0]), np.array([0.0]))
+        t, y = rk4_step(f, y0, 0.5, f(y0))
+        assert t[0] == 0.5
         assert y[0] == pytest.approx(0.125, abs=1e-15)
 
     def test_exponential_accuracy(self):
         # a tuple state: two decoupled components advance together
         y = (np.array([1.0]), np.array([2.0]))
         dt = 0.01
-        def f(t, v):
+        def f(v):
             return (-v[0], -2.0 * v[1])
 
-        for i in range(100):
-            y = rk4_step(f, i * dt, y, dt, f(i * dt, y))
+        for _ in range(100):
+            y = rk4_step(f, y, dt, f(y))
         assert y[0][0] == pytest.approx(np.exp(-1.0), abs=1e-10)
         assert y[1][0] == pytest.approx(2.0 * np.exp(-2.0), abs=1e-9)
 
@@ -175,6 +179,34 @@ def running_chart(state):
     return state.g.chart.collapsed(*(f.values for f in fields))
 
 
+def density_steps(state):
+    """Step by hand what ``be_integrate`` steps, on the state's own chart:
+    (step(state, dt) -> next state, the first state (t, arrays, min_eigs, reuse))."""
+    chart, inv_excess = state.g.chart, state.inv_excess
+    y = (state.g.values, state.f.values)
+
+    def factor(chart, y):
+        return be_factor(chart, y, inv_excess)
+
+    def stages(chart, y, geometry):
+        return be_step(chart, y, geometry, inv_excess)
+
+    return (functools.partial(integrate.rk4_halving, stages, factor, chart),
+            (state.t, y, *factor(chart, y)))
+
+
+def bundle_steps(state):
+    """Step by hand what ``bundle_integrate`` steps, on the state's own chart."""
+    chart, lin = state.g.chart, state.alpha.curvature_linear_part()
+    y = (state.g.values, state.Q.values, state.alpha.values)
+
+    def stages(chart, y, inverses):
+        return bundle._stages(chart, y, inverses, lin)
+
+    return (functools.partial(integrate.rk4_halving, stages, bundle._factor, chart),
+            (state.t, y, *bundle._factor(chart, y)))
+
+
 def run_density_states(state0, dt, t_end):
     return be_integrate(state0, dt, t_end, (0, 1)).states
 
@@ -226,8 +258,9 @@ class TestFixedStepDriver:
 
     def test_step_rejected_after_max_halvings(self, monkeypatch):
         monkeypatch.setattr(integrate, "MAX_HALVINGS", 0)
+        step, state = density_steps(density_state())
         with pytest.raises(StepRejected):
-            be_step(be_factor(density_state()), 2.5)
+            step(state, 2.5)
         with pytest.raises(StepRejected):
             run_bundle(5.0, 5.0, c_cfl=1e9)
 
@@ -285,6 +318,13 @@ class TestFixedStepDriver:
         with pytest.raises(SingularMetric, match=r"not positive definite at node \(5, 0\)"):
             bundle_integrate(BundleState(indefinite_at_row_5(s.g), s.Q, s.alpha, 0.0), 1e-3, 1e-2)
 
+    def test_non_finite_result_names_its_first_node(self):
+        chart = PeriodicChart((1.0, 1.0), (8, 1))
+        f = np.zeros(chart.resolution)
+        f[5, 0], f[6, 0] = np.inf, np.nan
+        with pytest.raises(SingularMetric, match=r"non-finite entry at node \(5, 0\)"):
+            integrate._require_finite(chart, (np.zeros(chart.resolution + (2, 2)), f))
+
     def test_extinction_guard_fires_at_equality(self, monkeypatch):
         # Q of the constant Heisenberg data starts at exactly 1 and shrinks,
         # so a ratio equal to its smallest eigenvalue after one step puts that
@@ -307,6 +347,26 @@ class TestFixedStepDriver:
         with pytest.raises(DomainError):
             run(args.pop("dt"), args.pop("t_end"), **args)
 
+    @pytest.mark.parametrize("state0, run", [
+        (density_state, run_density_states),
+        (bundle_state, run_bundle_states),
+        (non_uniform_density_state, run_density_states),
+        (non_uniform_bundle_state, run_bundle_states),
+    ], ids=["density", "bundle", "non-uniform-density", "non-uniform-bundle"])
+    def test_no_field_validated_after_the_start(self, monkeypatch, state0, run):
+        # the start's fields are checked where they are built; the harness
+        # steps their arrays and records them as views, checking no field again
+        state0, calls = state0(), [0]
+        checked = grids._checked
+
+        def counted(*args):
+            calls[0] += 1
+            return checked(*args)
+
+        monkeypatch.setattr(grids, "_checked", counted)
+        assert len(run(state0, 1e-3, 3e-3)) == 4
+        assert calls[0] == 0
+
     def test_one_geometry_pass_per_stage(self, monkeypatch, grid_data):
         counts = count_calls(monkeypatch, diffgeo, ("spd_inverse", "christoffel_field"))
         s = density_state(N=5)
@@ -320,14 +380,13 @@ class TestFixedStepDriver:
         # stages 2-4 and the accepted result invert (the result through
         # spd_factor's call of the gate); the density step also builds its
         # result's stage geometry, which the next k1 and the monitors share.
-        cur = be_factor(density_state(N=5))
+        step, state = density_steps(density_state(N=5))
         counts.clear()
-        be_step(cur, 1e-3)
+        step(state, 1e-3)
         assert counts == {"spd_inverse": 4, "christoffel_field": 4}
-        s = bundle_state()
-        cur = bundle._factor(s)
+        step, state = bundle_steps(bundle_state())
         counts.clear()
-        bundle._bundle_step(cur, 1e-3)
+        step(state, 1e-3)
         assert counts == {"spd_inverse": 8, "christoffel_field": 4}
 
     def test_stages_make_no_roll_or_trace_call(self, monkeypatch, grid_data):
@@ -442,32 +501,39 @@ class TestOneFactorizationPerAcceptedState:
         assert calls["attempts"] > steps
         assert calls["k1"] == steps
 
-    @pytest.mark.parametrize("run", [run_density, run_bundle])
-    def test_result_above_condition_cap_is_halved(self, monkeypatch, run):
+    @pytest.mark.parametrize("run, index, bad", [
+        pytest.param(run_density, 0, np.diag([1.0, 1e-13]), id="run_density"),
+        pytest.param(run_bundle, 0, np.diag([1.0, 1e-13]), id="run_bundle"),
+        pytest.param(run_density, 1, np.nan, id="run_density-nan-f"),
+        pytest.param(run_bundle, 2, np.nan, id="run_bundle-nan-alpha"),
+    ])
+    def test_result_above_condition_cap_is_halved(self, monkeypatch, run, index, bad):
         # A result that is positive definite but above the 1e12 condition cap
         # at one node fails the accept, so the step is halved.  Accepting it
-        # would only move the failure into every retry of the next step.
+        # would only move the failure into every retry of the next step.  So
+        # is a result with a non-finite density or connection entry, which
+        # no metric factorization sees.
         tried = []
         original = integrate.rk4_step
 
-        def first_over_cap(f, t, y, dt, k1):
-            out = original(f, t, y, dt, k1)
+        def first_bad(f, y, dt, k1):
+            out = original(f, y, dt, k1)
             tried.append(dt)
             if len(tried) == 1:
-                g = out[0].copy()
-                g[0, 0] = np.diag([1.0, 1e-13])
-                out = (g,) + out[1:]
+                a = out[index].copy()
+                a[0, 0] = bad
+                out = out[:index] + (a,) + out[index + 1:]
             return out
 
-        monkeypatch.setattr(integrate, "rk4_step", first_over_cap)
+        monkeypatch.setattr(integrate, "rk4_step", first_bad)
         states, _ = run(1e-3, 1e-3, record_every=1)
         assert tried[:2] == [1e-3, 5e-4]
         assert states[1].t == 5e-4
 
 
 class TestCollapsedRun:
-    """A flow runs on its start's collapsed chart to the bits that its step
-    functions, driven by hand on the full chart, give at every node."""
+    """A flow runs on its start's collapsed chart to the bits that its
+    stages and factor, stepped by hand on the full chart, give at every node."""
 
     DT = 2.0 ** -9      # exact sums of steps, so the driver's last step is DT too
 
@@ -481,16 +547,16 @@ class TestCollapsedRun:
         assert running_chart(state0).resolution == resolution
         records, stop = bundle_integrate(state0, self.DT, steps * self.DT)
         assert stop == "Horizon" and len(records) == steps + 1
-        cur = bundle._factor(state0)
+        step, state = bundle_steps(state0)
         for i, r in enumerate(records):
             if i:
-                cur = bundle._bundle_step(cur, self.DT)
-            s = cur.state
-            assert (r.t, r.min_eig_g, r.min_eig_q) == (s.t, *cur.min_eigs)
-            for got, want in ((r.g, s.g), (r.Q, s.Q), (r.alpha, s.alpha)):
+                state = step(state, self.DT)
+            t, arrays, min_eigs, _ = state
+            assert (r.t, r.min_eig_g, r.min_eig_q) == (t, *min_eigs)
+            for got, want in zip((r.g, r.Q, r.alpha), arrays):
                 assert got.chart == state0.g.chart and not got.values.flags.writeable
-                assert got.values.shape == want.values.shape
-                assert got.values.tobytes() == want.values.tobytes()
+                assert got.values.shape == want.shape
+                assert got.values.tobytes() == want.tobytes()
             assert np.array_equal(r.alpha.linear, state0.alpha.linear)
 
     @pytest.mark.parametrize("state0, resolution", [
@@ -502,16 +568,17 @@ class TestCollapsedRun:
         assert running_chart(state0).resolution == resolution
         trace = be_integrate(state0, self.DT, steps * self.DT, k_values)
         assert trace.stop_reason == "Horizon" and len(trace.states) == steps + 1
-        cur = be_factor(state0)
+        step, state = density_steps(state0)
         for i, (s, m) in enumerate(zip(trace.states, trace.monitors)):
             if i:
-                cur = be_step(cur, self.DT)
-            want = bakry_emery.monitors(cur.reuse, k_values)
-            assert s.t == cur.state.t and s.N == cur.state.N
-            for got, ref in ((s.g, cur.state.g), (s.f, cur.state.f)):
+                state = step(state, self.DT)
+            t, arrays, _, geometry = state
+            want = bakry_emery.monitors(geometry, k_values)
+            assert s.t == t and s.N == state0.N
+            for got, ref in zip((s.g, s.f), arrays):
                 assert got.chart == state0.g.chart and not got.values.flags.writeable
-                assert got.values.shape == ref.values.shape
-                assert got.values.tobytes() == ref.values.tobytes()
+                assert got.values.shape == ref.shape
+                assert got.values.tobytes() == ref.tobytes()
             assert (m.min_tildeS, m.max_grad_f_sq) == (want.min_tildeS, want.max_grad_f_sq)
             for got, ref in ((m.barS, want.barS), (m.grad_f_sq, want.grad_f_sq),
                              *((m.tildeS[k], want.tildeS[k]) for k in k_values)):

@@ -125,6 +125,9 @@ class TestLauret:
         assert lambda_invariant(l.a, l.b) == pytest.approx(
             2.0 ** 4 * psi(KEState(2.0, 0.0), KEParams(1, 2.0)) ** 2, rel=1e-12)
 
+    def test_state_accepts_a_zero(self):
+        assert LauretState(0.0, 1.0).a == 0.0
+
     def test_invariant_needs_positive_a(self):
         with pytest.raises(DomainError):
             lambda_invariant(0.0, 1.0)
