@@ -52,13 +52,9 @@ class BEState:
         object.__setattr__(self, "N", float(self.N))
 
     @property
-    def n(self) -> int:
-        return self.g.chart.dims
-
-    @property
     def inv_excess(self) -> float:
         """1 / (N - n); exactly zero for N = infinity."""
-        return 0.0 if math.isinf(self.N) else 1.0 / (self.N - self.n)
+        return 0.0 if math.isinf(self.N) else 1.0 / (self.N - self.g.chart.dims)
 
 
 def sine_density_start(N: float, amplitude: float, resolution: int, extent: float):
@@ -71,15 +67,24 @@ def sine_density_start(N: float, amplitude: float, resolution: int, extent: floa
     return BEState(g, ScalarField(chart, amplitude * np.sin(2.0 * np.pi * x / extent)), N)
 
 
-@dataclass(frozen=True)
-class BEMonitors:
-    """Pointwise monitor fields and their grid extrema at one time."""
+@dataclass(frozen=True, kw_only=True)
+class BERecord(BEState):
+    """A recorded state and its monitors (``monitors``): barS, tildeS_k and
+    |grad f|^2 as read-only broadcast views on the state's chart, and their
+    grid extrema."""
 
     barS: np.ndarray
     tildeS: dict[int, np.ndarray]
     grad_f_sq: np.ndarray
     min_tildeS: dict[int, float]
     max_grad_f_sq: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        wide = functools.partial(np.broadcast_to, shape=self.g.chart.resolution)
+        object.__setattr__(self, "barS", wide(self.barS))
+        object.__setattr__(self, "tildeS", {k: wide(v) for k, v in self.tildeS.items()})
+        object.__setattr__(self, "grad_f_sq", wide(self.grad_f_sq))
 
 
 def be_stage(chart: PeriodicChart, g: np.ndarray, f: np.ndarray, inv_excess: float,
@@ -103,17 +108,17 @@ def be_rhs(stage: tuple):
     return dg, lap - grad_sq
 
 
-def monitors(stage: tuple, k_values) -> BEMonitors:
+def monitors(stage: tuple, k_values) -> dict:
+    """The monitor fields of a ``BERecord`` at the stage's nodes."""
     bar_ric, df, g_inv, lap, grad_sq, inv_excess = stage
     if inv_excess != 0.0:
         bar_ric = bar_ric - inv_excess * np.einsum("...b,...c->...bc", df, df)
     barS = np.einsum("...bc,...bc->...", g_inv, bar_ric)
     tilde = {int(k): barS + lap - (k + 1.0) * grad_sq for k in k_values}
     # a copy: the record keeps no array of the stage, which is freed whole
-    return BEMonitors(
-        barS=barS, tildeS=tilde, grad_f_sq=grad_sq.copy(),
-        min_tildeS={k: float(np.min(v)) for k, v in tilde.items()},
-        max_grad_f_sq=float(np.max(grad_sq)))
+    return dict(barS=barS, tildeS=tilde, grad_f_sq=grad_sq.copy(),
+                min_tildeS={k: float(np.min(v)) for k, v in tilde.items()},
+                max_grad_f_sq=float(np.max(grad_sq)))
 
 
 def be_factor(chart: PeriodicChart, y: tuple, inv_excess: float) -> tuple:
@@ -131,39 +136,20 @@ def be_step(chart: PeriodicChart, y: tuple, geometry: tuple, inv_excess: float) 
                                                        spd_inverse(y[0])))
 
 
-@dataclass
-class BETrace:
-    states: list[BEState]
-    monitors: list[BEMonitors]
-    stop_reason: str
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-
 def be_integrate(s0: BEState, dt: float, t_end: float, k_values,
-                 c_cfl: float = DEFAULT_C_CFL, record_every: int = 1) -> BETrace:
-    """Integrate the density flow with ``integrate.grid_integrate``,
-    recording states and their monitors.  The extinction guard watches the
-    smallest eigenvalue of g.  Each record is on the start's chart, its
-    arrays read-only broadcast views."""
-    full, inv_excess = s0.g.chart, s0.inv_excess
-
-    def record(t, fields, min_eigs, geometry):
-        m = monitors(geometry, k_values)
-        wide = functools.partial(np.broadcast_to, shape=full.resolution)
-        return (BEState(*fields, s0.N, t),
-                BEMonitors(wide(m.barS), {k: wide(v) for k, v in m.tildeS.items()},
-                           wide(m.grad_f_sq), m.min_tildeS, m.max_grad_f_sq))
-
-    records, stop_reason = grid_integrate(
+                 c_cfl: float = DEFAULT_C_CFL, record_every: int = 1):
+    """Integrate the density flow with ``integrate.grid_integrate``.  The
+    extinction guard watches the smallest eigenvalue of g.  Returns
+    (records, stop_reason), each record a ``BERecord`` on the start's chart,
+    its arrays read-only broadcast views."""
+    inv_excess = s0.inv_excess
+    return grid_integrate(
         (s0.g, s0.f), s0.t,
         lambda chart, y, geometry: be_step(chart, y, geometry, inv_excess),
         lambda chart, y: be_factor(chart, y, inv_excess),
-        record, dt, t_end, c_cfl, record_every)
-    states, mons = (list(x) for x in zip(*records))
-    return BETrace(states, mons, stop_reason)
+        lambda t, fields, _, geometry: BERecord(*fields, s0.N, t,
+                                                **monitors(geometry, k_values)),
+        dt, t_end, c_cfl, record_every)
 
 
 def gradient_bound(t: float, k0: float, n: int, N: float) -> float:

@@ -247,10 +247,12 @@ def sol3_pointwise_data(a: float, c: float, x: float) -> PointwiseBundleData:
     Base metric (c/x^2) delta: Christoffels of a conformally flat half-plane
     metric, Ricci = -(1/x^2) delta; curvature F^1_xy = -a/x^2 (the exterior
     derivative of the stored gauge (a/x) dy), divergence-free because the
-    hyperbolic area form is parallel.  Raises DomainError unless x > 0.
+    hyperbolic area form is parallel.  Raises DomainError unless x > 0 and
+    x^2, c/x^2 and a/x are representable.
     """
     if not x > 0:
         raise DomainError(f"sol3 lives on x > 0, got x = {x:g}")
+    _representable({"x^2": x * x, "c / x^2": c / x / x, "a / x": a / x})
     g = (c / x ** 2) * np.eye(2)
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = -1.0 / x

@@ -26,8 +26,8 @@ from . import bakry_emery as be
 from . import kahler_einstein as ke
 from .bundle import BundleState, blocks_to_chart, bundle_integrate, ricci_blocks_torus
 from .catalog import BUNDLE_RESOLUTION, CONSTRUCTORS, by_name, heisenberg_bundle_fields
-from .diffgeo import DEFAULT_ORACLE_STEP, ricci_with_defect
-from .errors import BundleFlowError, ConfigError, DomainError
+from .diffgeo import DEFAULT_ORACLE_STEP, ricci_with_defect, spd_inverse
+from .errors import BundleFlowError, ConfigError, DomainError, SingularMetric
 from .grids import MIN_RESOLUTION
 from .integrate import DEFAULT_C_CFL, DEFAULT_TOL, EXTINCTION_RATIO
 from .svgplot import render_phase_portrait
@@ -226,6 +226,19 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
         data, alpha_at = entry.bundle_at(point)
     except DomainError as exc:
         raise ConfigError(f"'point' is outside the domain: {exc}")
+    # the nested difference oracle evaluates the metric at p, p +- h e_b and
+    # (p +- h e_b) +- h e_a.  A metric spd_inverse rejects at p is a numeric
+    # failure; a stencil point off the domain or with such a metric, a bad h.
+    steps = [s * v for v in h * np.eye(point.size) for s in (1.0, -1.0)]
+    with np.errstate(all="ignore"):
+        spd_inverse(entry.total_metric(point))
+        for q in [point + a for a in steps] + [point + b + a for b in steps for a in steps]:
+            try:
+                entry.bundle_at(q)
+                spd_inverse(entry.total_metric(q))
+            except (DomainError, SingularMetric) as exc:
+                raise ConfigError(f"numerics.h = {h!r} takes the curvature oracle to "
+                                  f"{q.tolist()}: {exc}")
     blocks = ricci_blocks_torus(data)
     expected = blocks_to_chart(blocks, alpha_at)
     oracle, defect = ricci_with_defect(entry.total_metric, point, step=h)
@@ -250,38 +263,49 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
     return 0
 
 
-def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
+def run_flow_be(cfg: dict):
+    """The ``flow-be`` run of a config: (records, stop_reason) of ``be_integrate``."""
     params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
     try:
         state0 = be.sine_density_start(float(params["N"]), params["amplitude"],
                                        num["resolution"], num["extent"])
     except DomainError as exc:      # an extent whose grid spacing a float cannot square
         raise ConfigError(str(exc))
-    trace = be.be_integrate(state0, num["dt"], num["t_end"], params["k"],
-                            c_cfl=num["c_cfl"], record_every=num["record_every"])
-    columns = {"t": trace.times}
+    return be.be_integrate(state0, num["dt"], num["t_end"], params["k"],
+                           c_cfl=num["c_cfl"], record_every=num["record_every"])
+
+
+def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
+    records, stop = run_flow_be(cfg)
+    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
+    columns = {"t": np.array([r.t for r in records])}
     for k in params["k"]:
-        columns[f"min_tildeS_{k}"] = np.array([m.min_tildeS[k] for m in trace.monitors])
-    columns["max_grad_f_sq"] = np.array([m.max_grad_f_sq for m in trace.monitors])
+        columns[f"min_tildeS_{k}"] = np.array([r.min_tildeS[k] for r in records])
+    columns["max_grad_f_sq"] = np.array([r.max_grad_f_sq for r in records])
     meta = {"command": "flow-be", "N": params["N"], "amplitude": format(params["amplitude"], "g"),
-            "resolution": str(num["resolution"]), "stop_reason": trace.stop_reason,
+            "resolution": str(num["resolution"]), "stop_reason": stop,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True)}
-    return _write_flow(cfg, out_dir, FlowTrace(columns, meta), "trace_be.csv", trace.stop_reason)
+    return _write_flow(cfg, out_dir, FlowTrace(columns, meta), "trace_be.csv", stop)
+
+
+def run_flow_bundle(cfg: dict):
+    """The ``flow-bundle`` run of a config: (records, stop_reason) of ``bundle_integrate``."""
+    _geometry_entry(cfg)  # heisenberg's domain check of n and c
+    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
+    fields = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
+    return bundle_integrate(BundleState(*fields, 0.0), num["dt"], num["t_end"],
+                            record_every=num["record_every"], c_cfl=num["c_cfl"])
 
 
 def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:
-    _geometry_entry(cfg)  # heisenberg's domain check of n and c
-    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
-    g0, q0, a0 = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
-    origin = (0,) * (g0.chart.dims + 2)
-    states, stop = bundle_integrate(BundleState(g0, q0, a0, 0.0), num["dt"], num["t_end"],
-                                    record_every=num["record_every"], c_cfl=num["c_cfl"])
+    records, stop = run_flow_bundle(cfg)
+    origin = (0,) * (records[0].g.chart.dims + 2)
     columns = {
-        "t": np.array([s.t for s in states]),
-        "g_xx_origin": np.array([s.g.values[origin] for s in states]),
-        "q_origin": np.array([s.Q.values[origin] for s in states]),
-        "min_eig_g": np.array([s.min_eig_g for s in states]),
-        "min_eig_q": np.array([s.min_eig_q for s in states]),
+        "t": np.array([r.t for r in records]),
+        "g_xx_origin": np.array([r.g.values[origin] for r in records]),
+        "q_origin": np.array([r.Q.values[origin] for r in records]),
+        "min_eig_g": np.array([r.min_eig_g for r in records]),
+        "min_eig_q": np.array([r.min_eig_q for r in records]),
     }
     meta = {"command": "flow-bundle", "geometry": cfg["geometry"], "stop_reason": stop,
             "version": __version__, "config": json.dumps(cfg, sort_keys=True)}

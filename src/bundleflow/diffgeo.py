@@ -178,7 +178,7 @@ def ricci_field_with_defect(chart: PeriodicChart, gamma: np.ndarray) -> np.ndarr
 
     The grid path computes no asymmetry defect (only the pointwise oracle
     reports one).  The name stays because ``perfbench/tracer.py`` rebinds it;
-    the rename waits for the perfbench change of ROADMAP item 3 or 4."""
+    the rename waits for the perfbench change of ROADMAP item 2."""
     d = chart.dims
     trace = sum(gamma[..., a, a, :] for a in range(d))      # Gamma^l_lc, [c]
     gamma_t = np.swapaxes(gamma, -3, -2).copy()             # [b, l, n] = Gamma^l_bn

@@ -15,13 +15,12 @@ import numpy as np
 
 from . import bakry_emery as be
 from . import kahler_einstein as ke
-from .bundle import (BundleState, PointwiseBundleData, StructureConstants,
-                     blocks_to_chart, bundle_integrate, flow_rhs_from_data,
-                     lie_group_ricci, ricci_blocks_general, ricci_blocks_torus,
-                     warped_product_data)
-from .catalog import (berger, heisenberg, heisenberg_bundle_fields, heisenberg_c_of_t,
-                      sl2r, sol3, su2_invariant_metric, su2_sigma)
-from .cli import _resolved
+from .bundle import (PointwiseBundleData, StructureConstants, blocks_to_chart,
+                     flow_rhs_from_data, lie_group_ricci, ricci_blocks_general,
+                     ricci_blocks_torus, warped_product_data)
+from .catalog import (berger, heisenberg, heisenberg_c_of_t, sl2r, sol3,
+                      su2_invariant_metric, su2_sigma)
+from .cli import _geometry_entry, run_flow_be, run_flow_bundle
 from .diffgeo import DEFAULT_ORACLE_STEP, CoordinateMetric, spd_inverse
 from .diffgeo import ricci as ricci_oracle
 from .errors import BundleFlowError
@@ -335,15 +334,12 @@ def check_torus_specialization() -> CheckResult:
 def check_pde_ode_consistency() -> CheckResult:
     """Spatially constant circle-bundle data: a default ``flow-bundle`` run versus
     the reduced flow."""
-    cfg = {"command": "flow-bundle"}
-    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
-    g0, q0, a0 = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
-    states, _ = bundle_integrate(BundleState(g0, q0, a0, 0.0), num["dt"], num["t_end"],
-                                 record_every=num["record_every"], c_cfl=num["c_cfl"])
-    entry = heisenberg(params["n"], params["c"])
+    cfg = {"command": "flow-bundle", "geometry": "heisenberg"}
+    records, _ = run_flow_bundle(cfg)
+    entry = _geometry_entry(cfg)
     worst = 0.0
     spatial = 0.0
-    for s in states:
+    for s in records:
         exact = entry.closed_form(s.t)
         gv = s.g.values
         qv = s.Q.values[..., 0, 0]
@@ -362,38 +358,29 @@ def check_pde_ode_consistency() -> CheckResult:
 
 # --- 10 ----------------------------------------------------------------
 
-def _be_run(N: float):
-    """A default ``flow-be`` run at this N."""
-    cfg = {"command": "flow-be"}
-    params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
-    state0 = be.sine_density_start(N, params["amplitude"], num["resolution"], num["extent"])
-    return be.be_integrate(state0, num["dt"], num["t_end"], params["k"], c_cfl=num["c_cfl"],
-                           record_every=num["record_every"])
-
-
 def check_bakry_emery() -> CheckResult:
     """Monotone corrected scalars, and the gradient bound in both regimes."""
     msgs = []
     ok = True
     for N in (5.0, np.inf):
-        trace = _be_run(N)
-        grad0 = trace.monitors[0].max_grad_f_sq
+        records, _ = run_flow_be({"command": "flow-be", "params": {"N": N}})
+        grad0 = records[0].max_grad_f_sq
         mono_violation = 0.0
         grad_excess = 0.0
-        for k in trace.monitors[0].min_tildeS:
-            mins = np.array([m.min_tildeS[k] for m in trace.monitors])
+        for k in records[0].min_tildeS:
+            mins = np.array([r.min_tildeS[k] for r in records])
             mono_violation = max(mono_violation, float(np.max(-np.diff(mins), initial=0.0)))
-        for m in trace.monitors:
-            grad_excess = max(grad_excess, m.max_grad_f_sq - grad0 * (1.0 + 1e-6))
+        for r in records:
+            grad_excess = max(grad_excess, r.max_grad_f_sq - grad0 * (1.0 + 1e-6))
         ok = ok and mono_violation <= 1e-8 and grad_excess <= 0.0
         msgs.append(f"N={N:g}: worst min-decrease {mono_violation:.1e}, "
                     f"gradient excess {grad_excess:.1e}")
-    trace = _be_run(1.0)
-    grad0 = trace.monitors[0].max_grad_f_sq
+    records, _ = run_flow_be({"command": "flow-be", "params": {"N": 1.0}})
+    grad0 = records[0].max_grad_f_sq
     bound_excess = 0.0
-    for s, m in zip(trace.states, trace.monitors):
-        bound = be.gradient_bound(s.t, grad0, n=2, N=1.0)
-        bound_excess = max(bound_excess, m.max_grad_f_sq - bound * (1.0 + 1e-4))
+    for r in records:
+        bound = be.gradient_bound(r.t, grad0, n=2, N=1.0)
+        bound_excess = max(bound_excess, r.max_grad_f_sq - bound * (1.0 + 1e-4))
     ok = ok and bound_excess <= 0.0
     msgs.append(f"N=1<n: bound excess {bound_excess:.1e}")
     return CheckResult("bakry-emery", ok, "; ".join(msgs))

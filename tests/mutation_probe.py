@@ -99,6 +99,12 @@ MUTANTS = {
     "flow-t-end": ("cli", "T_END = 1.0", "T_END = 0.5"),
     "bundle-default-c": ("cli", '"c": (1.0, _FINITE)', '"c": (2.0, _FINITE)'),
     "checks-non-empty": ("cli", "isinstance(v, list) and len(v) > 0", "isinstance(v, list)"),
+    # cli: the curvature oracle's stencil check, and catalog: sol3's representable point
+    "stencil-first-ring-only": ("cli", "] + [point + b + a for b in steps for a in steps]:",
+                                "]:"),
+    "stencil-metric-skipped": ("cli", "spd_inverse(entry.total_metric(q))", "None"),
+    "stencil-point-metric-skipped": ("cli", "spd_inverse(entry.total_metric(point))", "None"),
+    "sol3-point-unchecked": ("catalog", '_representable({"x^2": x * x,', 'dict({"x^2": x * x,'),
 }
 
 

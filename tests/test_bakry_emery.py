@@ -106,8 +106,8 @@ class TestMonitors:
         state = BEState(g, f, 6)
         mon = monitors(geometry(state), k_values=(0, 1, 3))
         lap = laplacian_field(f, g)
-        for k, field in mon.tildeS.items():
-            rebuilt = mon.barS + lap - (k + 1) * mon.grad_f_sq
+        for k, field in mon["tildeS"].items():
+            rebuilt = mon["barS"] + lap - (k + 1) * mon["grad_f_sq"]
             assert np.max(np.abs(field - rebuilt)) < 1e-12
 
     def test_scalar_curvature_case_flat(self):
@@ -115,7 +115,7 @@ class TestMonitors:
         _, g, f, x = flat_setup(amp=0.3, res=96)
         mon = monitors(geometry(BEState(g, f, np.inf)), k_values=(0,))
         expected = -0.3 * np.sin(x)
-        assert np.max(np.abs(mon.barS - expected)) < 5e-4
+        assert np.max(np.abs(mon["barS"] - expected)) < 5e-4
 
 
 class TestBEState:
@@ -129,20 +129,20 @@ class TestBEState:
 class TestBeIntegrate:
     def test_constant_trace_on_flat(self):
         _, g, f, _ = flat_setup(res=16, amp=0.0)
-        trace = be_integrate(BEState(g, f, np.inf), dt=0.01, t_end=0.05, k_values=(0, 1))
-        assert trace.stop_reason == "Horizon"
-        assert np.max(np.abs(trace.states[-1].g.values - g.values)) < 1e-12
+        records, stop = be_integrate(BEState(g, f, np.inf), dt=0.01, t_end=0.05, k_values=(0, 1))
+        assert stop == "Horizon"
+        assert np.max(np.abs(records[-1].g.values - g.values)) < 1e-12
 
     def test_extinction_guard_reason(self, monkeypatch):
         monkeypatch.setattr(integrate, "EXTINCTION_RATIO", 0.999999)
         _, g, f, _ = flat_setup(res=16, amp=0.1)
-        trace = be_integrate(BEState(g, f, 5), dt=0.01, t_end=1.0, k_values=(0, 1))
-        assert trace.stop_reason == "ExtinctionGuard"
+        _, stop = be_integrate(BEState(g, f, 5), dt=0.01, t_end=1.0, k_values=(0, 1))
+        assert stop == "ExtinctionGuard"
 
     def test_monotone_min_scalar_short(self):
         _, g, f, _ = flat_setup(res=24, amp=0.1)
-        trace = be_integrate(BEState(g, f, np.inf), dt=1.0, t_end=0.3, k_values=(0, 1))
-        mins = np.array([m.min_tildeS[0] for m in trace.monitors])
+        records, _ = be_integrate(BEState(g, f, np.inf), dt=1.0, t_end=0.3, k_values=(0, 1))
+        mins = np.array([r.min_tildeS[0] for r in records])
         assert np.all(np.diff(mins) >= -1e-8)
 
 

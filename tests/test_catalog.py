@@ -1,5 +1,7 @@
 """Catalog entries: reduced data, coordinate matrices, curvature spectra."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,13 @@ class TestBundleAt:
             sol3_pointwise_data(1.0, 1.0, 0.0)
         with pytest.raises(DomainError, match="x > 0"):
             sol3(1.0, 1.0).bundle_at([-0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("a, c, x, name", [
+        (1.0, 1.0, 1e200, "x^2"), (1.0, 1.0, 1e-200, "x^2"),
+        (1.0, 1e10, 1e-150, "c / x^2"), (1.0, 1e-10, 1e150, "c / x^2")])
+    def test_sol3_unrepresentable_point_rejected(self, a, c, x, name):
+        with pytest.raises(DomainError, match=re.escape(f"{name} = ")):
+            sol3_pointwise_data(a, c, x)
 
     def test_entries_without_decomposition(self):
         for entry in (berger(1.0, 2.0), sl2r(1.0, 2.0)):

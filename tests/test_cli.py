@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bundleflow.catalog import by_name
 from bundleflow.cli import main
+from bundleflow.diffgeo import spd_inverse
+from bundleflow.errors import SingularMetric
 from bundleflow.traces import FlowTrace, read_trace, write_trace
 
 
@@ -243,11 +248,27 @@ class TestConfigValidation:
           "params": {"lambda1": 10**400, "lambda2": 2.0}}, 2, "config"),
         ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
           "point": [10**400, 0.0, 0.0]}, 2, "config"),
+        # the oracle's stencil, p +- h e_a +- h e_b, leaves sol3's half-space or
+        # reaches a metric spd_inverse rejects
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
+          "numerics": {"h": 0.65}}, 2, "config"),
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
+          "numerics": {"h": 0.7}}, 2, "config"),
+        ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"h": 1e300}}, 2, "config"),
+        ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
+          "numerics": {"h": 1e30}}, 2, "config"),
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
+          "point": [1e200, 0.2, 0.1]}, 2, "config"),
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
+          "point": [1e-200, 0.2, 0.1]}, 2, "config"),
     ], ids=["berger-lambda2-1e300", "sl2r-lambda2-1e300", "berger-lambda1-1e300",
             "berger-lambda1-int-1e30", "heisenberg-c-int-1e30", "heisenberg-c-1e-300",
             "heisenberg-n-int-1e30", "sol3-a-1e300", "be-resolution-1e30",
             "bundle-resolution-1e30", "be-extent-1e300", "be-extent-1e-300", "bundle-c-1e300",
-            "bundle-c-1e-300", "numerics-400-digits", "params-400-digits", "point-400-digits"])
+            "bundle-c-1e-300", "numerics-400-digits", "params-400-digits", "point-400-digits",
+            "sol3-h-0.65", "sol3-h-0.7", "heisenberg-h-1e300", "heisenberg-h-1e30",
+            "sol3-x-1e200", "sol3-x-1e-200"])
     def test_out_of_range_magnitudes(self, tmp_path, capsys, cfg, code, error):
         path = write_config(tmp_path, "big.json", cfg)
         assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == code
@@ -265,6 +286,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, "x.json", {"command": command, "geometry": geometry,
                                                  "params": params})
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+
+
+_DECADES = st.floats(-300.0, 300.0)
+# zero, or either sign times 10^-300 to 10^300
+_COORDINATE = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                                st.sampled_from((1.0, -1.0)), _DECADES))
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
 
 
 class TestCurvature:
@@ -291,6 +322,45 @@ class TestCurvature:
         })
         assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "SingularMetric" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(geometry=st.sampled_from([("heisenberg", {"n": 1}, 3), ("heisenberg", {"n": 2}, 5),
+                                     ("sol3", {"a": 1.0}, 3)]),
+           c=st.floats(0.5, 2.0), coords=st.lists(_COORDINATE, min_size=5, max_size=5),
+           h=_DECADES.map(lambda e: 10.0 ** e))
+    @example(geometry=("sol3", {"a": 1.0}, 3), c=1.0, coords=[1.3, 0.2, 0.1, 0.0, 0.0], h=0.65)
+    @example(geometry=("heisenberg", {"n": 1}, 3), c=1.0, coords=[0.3, -0.2, 0.5, 0.0, 0.0],
+             h=1e30)
+    def test_point_and_step_exit_contract(self, geometry, c, coords, h):
+        # exit 0 with a finite report, 2 with one JSON line, or 3 only where the
+        # metric at the point itself is rejected
+        name, params, dims = geometry
+        params = {**params, "c": c}
+        point = coords[:dims]
+        with tempfile.TemporaryDirectory() as workdir:
+            cfg = write_config(pathlib.Path(workdir), "c.json", {
+                "command": "curvature", "geometry": name, "params": params,
+                "point": point, "numerics": {"h": h}})
+            err, tb = io.StringIO(), ""
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["curvature", "--config", cfg, "--out", workdir])
+                except Exception:
+                    code, tb = 1, traceback.format_exc()
+            assert code in (0, 2, 3), tb
+            if code == 0:
+                assert err.getvalue() == ""
+                report = json.loads(pathlib.Path(workdir, "curvature.json").read_text(),
+                                    parse_constant=_raise_on_constant)
+                assert math.isfinite(report["max_abs_error"])
+                return
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1, err.getvalue()
+        error = json.loads(lines[0])["error"]
+        assert error == {2: "config", 3: "SingularMetric"}[code]
+        if code == 3:
+            with np.errstate(all="ignore"), pytest.raises(SingularMetric):
+                spd_inverse(by_name(name, params).total_metric(np.array(point)))
 
 
 class TestFlowBeAndBundle:

@@ -107,11 +107,11 @@ def bundle_rhs(d: int, q: int) -> str:
     return digest(*flow_rhs_from_data(data))
 
 
-def density_states(trace) -> list:
+def density_states(records) -> list:
     out = []
-    for s, m in zip(trace.states, trace.monitors):
-        out += [[s.t], s.g.values, s.f.values, m.barS, m.grad_f_sq,
-                *(m.tildeS[k] for k in sorted(m.tildeS))]
+    for r in records:
+        out += [[r.t], r.g.values, r.f.values, r.barS, r.grad_f_sq,
+                *(r.tildeS[k] for k in sorted(r.tildeS))]
     return out
 
 
@@ -124,10 +124,10 @@ def bundle_states(records) -> list:
 
 def density_run() -> str:
     chart, g, f = density_fields(12)
-    trace = be.be_integrate(be.BEState(MetricField(chart, g), ScalarField(chart, f), 5.0),
-                            dt=0.01, t_end=0.03, k_values=(0, 1))
-    assert len(trace.states) == 4
-    return digest(*density_states(trace))
+    records, _ = be.be_integrate(be.BEState(MetricField(chart, g), ScalarField(chart, f), 5.0),
+                                 dt=0.01, t_end=0.03, k_values=(0, 1))
+    assert len(records) == 4
+    return digest(*density_states(records))
 
 
 def bundle_run() -> str:
@@ -194,12 +194,12 @@ def constant_axis_runs() -> dict:
     records, stop = bundle_integrate(BundleState(*x_only_fields(17), 0.0), 0.01, 0.03)
     assert len(records) == 4 and stop == "Horizon"
     runs["run.bundle.x_only.8x4"] = digest(*bundle_states(records))
-    trace = be.be_integrate(be.sine_density_start(5.0, 0.1, 32, 2.0 * np.pi),
-                            5e-3, 3.5e-2, k_values=(0, 1))
-    assert len(trace.states) == 8
-    extrema = [[m.max_grad_f_sq, *(m.min_tildeS[k] for k in sorted(m.min_tildeS))]
-               for m in trace.monitors]
-    runs["run.density.sine.32x2"] = digest(*density_states(trace), *extrema)
+    records, _ = be.be_integrate(be.sine_density_start(5.0, 0.1, 32, 2.0 * np.pi),
+                                 5e-3, 3.5e-2, k_values=(0, 1))
+    assert len(records) == 8
+    extrema = [[r.max_grad_f_sq, *(r.min_tildeS[k] for k in sorted(r.min_tildeS))]
+               for r in records]
+    runs["run.density.sine.32x2"] = digest(*density_states(records), *extrema)
     return runs
 
 

@@ -208,7 +208,7 @@ def bundle_steps(state):
 
 
 def run_density_states(state0, dt, t_end):
-    return be_integrate(state0, dt, t_end, (0, 1)).states
+    return be_integrate(state0, dt, t_end, (0, 1))[0]
 
 
 def run_bundle_states(state0, dt, t_end):
@@ -220,8 +220,7 @@ def min_eig(values):
 
 
 def run_density(dt, t_end, **kwargs):
-    trace = be_integrate(density_state(N=kwargs.pop("N", np.inf)), dt, t_end, (0, 1), **kwargs)
-    return trace.states, trace.stop_reason
+    return be_integrate(density_state(N=kwargs.pop("N", np.inf)), dt, t_end, (0, 1), **kwargs)
 
 
 def run_bundle(dt, t_end, **kwargs):
@@ -566,20 +565,21 @@ class TestCollapsedRun:
     def test_density_records_equal_full_chart_steps(self, state0, resolution):
         state0, steps, k_values = state0(), 3, (0, 1)
         assert running_chart(state0).resolution == resolution
-        trace = be_integrate(state0, self.DT, steps * self.DT, k_values)
-        assert trace.stop_reason == "Horizon" and len(trace.states) == steps + 1
+        records, stop = be_integrate(state0, self.DT, steps * self.DT, k_values)
+        assert stop == "Horizon" and len(records) == steps + 1
         step, state = density_steps(state0)
-        for i, (s, m) in enumerate(zip(trace.states, trace.monitors)):
+        for i, r in enumerate(records):
             if i:
                 state = step(state, self.DT)
             t, arrays, _, geometry = state
             want = bakry_emery.monitors(geometry, k_values)
-            assert s.t == t and s.N == state0.N
-            for got, ref in zip((s.g, s.f), arrays):
+            assert r.t == t and r.N == state0.N
+            for got, ref in zip((r.g, r.f), arrays):
                 assert got.chart == state0.g.chart and not got.values.flags.writeable
                 assert got.values.shape == ref.shape
                 assert got.values.tobytes() == ref.tobytes()
-            assert (m.min_tildeS, m.max_grad_f_sq) == (want.min_tildeS, want.max_grad_f_sq)
-            for got, ref in ((m.barS, want.barS), (m.grad_f_sq, want.grad_f_sq),
-                             *((m.tildeS[k], want.tildeS[k]) for k in k_values)):
+            assert (r.min_tildeS, r.max_grad_f_sq) == (want["min_tildeS"], want["max_grad_f_sq"])
+            for got, ref in ((r.barS, want["barS"]), (r.grad_f_sq, want["grad_f_sq"]),
+                             *((r.tildeS[k], want["tildeS"][k]) for k in k_values)):
+                assert not got.flags.writeable
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
