@@ -36,9 +36,9 @@ class CatalogEntry:
     ``bundle_at(point)`` maps a point of the ``total_metric`` chart to the
     pointwise bundle data at its base point and the gauge ``alpha_at`` (q, d)
     of that chart, so ``blocks_to_chart(ricci_blocks_torus(data), alpha_at)``
-    is the Ricci tensor the oracle measures; it raises DomainError off the
-    geometry's domain, in which ``sample_point`` lies.  Both are None for
-    entries without a closed-form decomposition.
+    is the Ricci tensor the oracle measures; it, like ``total_metric``, raises
+    DomainError off the geometry's domain, in which ``sample_point`` lies.
+    Both are None for entries without a closed-form decomposition.
     """
 
     name: str
@@ -227,11 +227,19 @@ def heisenberg_c_of_t(n: int, c: float, t) -> np.ndarray:
 # solvable Bianchi-III geometry over the hyperbolic plane
 # ---------------------------------------------------------------------------
 
+def _sol3_x(a: float, c: float, x: float) -> float:
+    """x, or DomainError off sol3's domain: x > 0 with x^2, c/x^2 and a/x representable."""
+    if not x > 0:
+        raise DomainError(f"sol3 lives on x > 0, got x = {x:g}")
+    _representable({"x^2": x * x, "c / x^2": c / x / x, "a / x": a / x})
+    return x
+
+
 def sol3_total_metric(a: float, c: float) -> CoordinateMetric:
-    """Coordinate form of the group metric on (x, y, z), x > 0."""
+    """Coordinate form of the group metric on (x, y, z); DomainError off its domain."""
 
     def evaluate(p):
-        x = p[0]
+        x = _sol3_x(a, c, float(p[0]))
         return np.array([
             [c / x ** 2, 0.0, 0.0],
             [0.0, (c + a * a) / x ** 2, a / x],
@@ -247,12 +255,9 @@ def sol3_pointwise_data(a: float, c: float, x: float) -> PointwiseBundleData:
     Base metric (c/x^2) delta: Christoffels of a conformally flat half-plane
     metric, Ricci = -(1/x^2) delta; curvature F^1_xy = -a/x^2 (the exterior
     derivative of the stored gauge (a/x) dy), divergence-free because the
-    hyperbolic area form is parallel.  Raises DomainError unless x > 0 and
-    x^2, c/x^2 and a/x are representable.
+    hyperbolic area form is parallel.  Raises DomainError off sol3's domain.
     """
-    if not x > 0:
-        raise DomainError(f"sol3 lives on x > 0, got x = {x:g}")
-    _representable({"x^2": x * x, "c / x^2": c / x / x, "a / x": a / x})
+    _sol3_x(a, c, x)
     g = (c / x ** 2) * np.eye(2)
     gamma = np.zeros((2, 2, 2))
     gamma[0, 0, 0] = -1.0 / x

@@ -27,7 +27,7 @@ from . import kahler_einstein as ke
 from .bundle import BundleState, blocks_to_chart, bundle_integrate, ricci_blocks_torus
 from .catalog import BUNDLE_RESOLUTION, CONSTRUCTORS, by_name, heisenberg_bundle_fields
 from .diffgeo import DEFAULT_ORACLE_STEP, ricci_with_defect, spd_inverse
-from .errors import BundleFlowError, ConfigError, DomainError, SingularMetric
+from .errors import BundleFlowError, ConfigError, DomainError, SingularMetric, StepRejected
 from .grids import MIN_RESOLUTION
 from .integrate import DEFAULT_C_CFL, DEFAULT_TOL, EXTINCTION_RATIO
 from .svgplot import render_phase_portrait
@@ -226,22 +226,16 @@ def cmd_curvature(cfg: dict, out_dir: str | None) -> int:
         data, alpha_at = entry.bundle_at(point)
     except DomainError as exc:
         raise ConfigError(f"'point' is outside the domain: {exc}")
-    # the nested difference oracle evaluates the metric at p, p +- h e_b and
-    # (p +- h e_b) +- h e_a.  A metric spd_inverse rejects at p is a numeric
-    # failure; a stencil point off the domain or with such a metric, a bad h.
-    steps = [s * v for v in h * np.eye(point.size) for s in (1.0, -1.0)]
+    # a metric rejected at p is a numeric failure; a point of the oracle's stencil
+    # off the metric's domain or rejected by the oracle's spd_inverse, a bad h
     with np.errstate(all="ignore"):
         spd_inverse(entry.total_metric(point))
-        for q in [point + a for a in steps] + [point + b + a for b in steps for a in steps]:
-            try:
-                entry.bundle_at(q)
-                spd_inverse(entry.total_metric(q))
-            except (DomainError, SingularMetric) as exc:
-                raise ConfigError(f"numerics.h = {h!r} takes the curvature oracle to "
-                                  f"{q.tolist()}: {exc}")
+        try:
+            oracle, defect = ricci_with_defect(entry.total_metric, point, step=h)
+        except (DomainError, SingularMetric) as exc:
+            raise ConfigError(f"numerics.h = {h!r} takes the oracle off the metric: {exc}")
     blocks = ricci_blocks_torus(data)
     expected = blocks_to_chart(blocks, alpha_at)
-    oracle, defect = ricci_with_defect(entry.total_metric, point, step=h)
     max_err = float(np.max(np.abs(oracle - expected)))
     report = {
         "command": "curvature",
@@ -271,8 +265,12 @@ def run_flow_be(cfg: dict):
                                        num["resolution"], num["extent"])
     except DomainError as exc:      # an extent whose grid spacing a float cannot square
         raise ConfigError(str(exc))
-    return be.be_integrate(state0, num["dt"], num["t_end"], params["k"],
-                           c_cfl=num["c_cfl"], record_every=num["record_every"])
+    try:
+        return be.be_integrate(state0, num["dt"], num["t_end"], params["k"],
+                               c_cfl=num["c_cfl"], record_every=num["record_every"])
+    except StepRejected as exc:     # no step from the start, however halved: bad input
+        raise exc if exc.t != state0.t else ConfigError(
+            f"the flow cannot step params {params} from dt = {num['dt']!r}: {exc}")
 
 
 def cmd_flow_be(cfg: dict, out_dir: str | None) -> int:
@@ -293,8 +291,13 @@ def run_flow_bundle(cfg: dict):
     _geometry_entry(cfg)  # heisenberg's domain check of n and c
     params, num = _resolved(cfg, "params"), _resolved(cfg, "numerics")
     fields = heisenberg_bundle_fields(params["n"], params["c"], resolution=num["resolution"])
-    return bundle_integrate(BundleState(*fields, 0.0), num["dt"], num["t_end"],
-                            record_every=num["record_every"], c_cfl=num["c_cfl"])
+    state0 = BundleState(*fields, 0.0)
+    try:
+        return bundle_integrate(state0, num["dt"], num["t_end"],
+                                record_every=num["record_every"], c_cfl=num["c_cfl"])
+    except StepRejected as exc:     # no step from the start, however halved: bad input
+        raise exc if exc.t != state0.t else ConfigError(
+            f"the flow cannot step params {params} from dt = {num['dt']!r}: {exc}")
 
 
 def cmd_flow_bundle(cfg: dict, out_dir: str | None) -> int:

@@ -34,7 +34,11 @@ class BlowupTime(DomainError):
 
 
 class StepRejected(BundleFlowError):
-    """A flow step kept failing after the maximum number of halvings."""
+    """A flow step from time ``t`` kept failing after the maximum number of halvings."""
+
+    def __init__(self, message, t):
+        self.t = t
+        super().__init__(message)
 
 
 class StepUnderflow(BundleFlowError):

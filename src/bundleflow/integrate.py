@@ -113,7 +113,7 @@ def rk4_halving(stages: Callable, factor: Callable, chart, state: tuple, dt: flo
             return (t + dt, y_new, *factor(chart, y_new))
         except SingularMetric:
             dt *= 0.5
-    raise StepRejected(f"step kept failing after {MAX_HALVINGS} halvings at t={t:g}")
+    raise StepRejected(f"step kept failing after {MAX_HALVINGS} halvings at t={t:g}", t)
 
 
 def grid_integrate(fields: tuple, t0: float, stages: Callable, factor: Callable,

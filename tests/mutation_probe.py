@@ -18,8 +18,9 @@ the checkout root, for every mutant or for the named ones:
 It first runs tier-1 on an unmutated copy, which must pass.  The exit
 code is 0 when every mutant run was killed, 1 when one was not, and 2 for
 an unknown name or a failing unmutated copy.  A mutant whose fragment is
-missing from its module, or not unique there, is reported STALE and counts
-as not killed: update its entry after a refactor.  The working tree is
+missing from its module, or not unique there, or that changes nothing, is
+reported STALE and counts as not killed: update its entry after a refactor
+(``test_mutation_probe.py`` checks this in tier-1).  The working tree is
 never modified.
 """
 
@@ -99,20 +100,28 @@ MUTANTS = {
     "flow-t-end": ("cli", "T_END = 1.0", "T_END = 0.5"),
     "bundle-default-c": ("cli", '"c": (1.0, _FINITE)', '"c": (2.0, _FINITE)'),
     "checks-non-empty": ("cli", "isinstance(v, list) and len(v) > 0", "isinstance(v, list)"),
-    # cli: the curvature oracle's stencil check, and catalog: sol3's representable point
-    "stencil-first-ring-only": ("cli", "] + [point + b + a for b in steps for a in steps]:",
-                                "]:"),
-    "stencil-metric-skipped": ("cli", "spd_inverse(entry.total_metric(q))", "None"),
+    # cli: the curvature command's exit codes around the oracle, and catalog: sol3's domain,
+    # which its metric and its bundle data share
+    "oracle-rejection-domain-only": ("cli", "except (DomainError, SingularMetric) as exc:",
+                                     "except DomainError as exc:"),
     "stencil-point-metric-skipped": ("cli", "spd_inverse(entry.total_metric(point))", "None"),
+    "sol3-metric-domain-unchecked": ("catalog", "x = _sol3_x(a, c, float(p[0]))",
+                                     "x = float(p[0])"),
     "sol3-point-unchecked": ("catalog", '_representable({"x^2": x * x,', 'dict({"x^2": x * x,'),
 }
 
 
+def applies(text: str, old: str, new: str) -> bool:
+    """The fragment occurs exactly once in the module's text, on one line, and
+    the mutant changes it; a mutant that does not apply is STALE."""
+    return text.count(old) == 1 and "\n" not in old and old != new
+
+
 def apply(tree: pathlib.Path, module: str, old: str, new: str) -> bool:
-    """Replace the fragment in the copy; False when it is missing or not unique."""
+    """Replace the fragment in the copy; False when the mutant does not apply."""
     path = tree / "src" / "bundleflow" / f"{module}.py"
     text = path.read_text(encoding="utf-8")
-    if text.count(old) != 1 or "\n" in old:
+    if not applies(text, old, new):
         return False
     path.write_text(text.replace(old, new), encoding="utf-8")
     return True

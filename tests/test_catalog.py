@@ -7,7 +7,7 @@ import pytest
 
 from bundleflow.bundle import blocks_to_chart, ricci_blocks_torus
 from bundleflow.catalog import (berger, by_name, heisenberg, heisenberg_c_of_t, sl2r, sol3,
-                                sol3_pointwise_data)
+                                sol3_pointwise_data, sol3_total_metric)
 from bundleflow.diffgeo import ricci
 from bundleflow.errors import DomainError, NegativeBase
 from bundleflow.grids import MetricField
@@ -242,6 +242,13 @@ class TestBundleAt:
             sol3_pointwise_data(1.0, 1.0, 0.0)
         with pytest.raises(DomainError, match="x > 0"):
             sol3(1.0, 1.0).bundle_at([-0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("x, message", [(0.0, "x > 0"), (-0.1, "x > 0"), (1e-200, "x^2 = ")])
+    def test_sol3_metric_rejects_points_off_its_domain(self, x, message):
+        # the metric shares the bundle data's domain, so the oracle cannot
+        # difference a formula past x = 0 or where its coefficients overflow
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sol3_total_metric(1.0, 1.0)([x, 0.2, 0.1])
 
     @pytest.mark.parametrize("a, c, x, name", [
         (1.0, 1.0, 1e200, "x^2"), (1.0, 1.0, 1e-200, "x^2"),

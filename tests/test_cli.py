@@ -249,7 +249,7 @@ class TestConfigValidation:
         ({"command": "curvature", "geometry": "heisenberg", "params": {"n": 1, "c": 1.0},
           "point": [10**400, 0.0, 0.0]}, 2, "config"),
         # the oracle's stencil, p +- h e_a +- h e_b, leaves sol3's half-space or
-        # reaches a metric spd_inverse rejects
+        # reaches a first-ring metric the oracle's spd_inverse rejects
         ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
           "numerics": {"h": 0.65}}, 2, "config"),
         ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
@@ -262,13 +262,21 @@ class TestConfigValidation:
           "point": [1e200, 0.2, 0.1]}, 2, "config"),
         ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
           "point": [1e-200, 0.2, 0.1]}, 2, "config"),
+        # a start no step can take, however far it is halved, is bad input
+        ({"command": "flow-be", "params": {"N": 5, "amplitude": 1e30}}, 2, "config"),
+        ({"command": "flow-be", "params": {"N": 5, "amplitude": 1e300}}, 2, "config"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 1, "c": 1e30}},
+         2, "config"),
+        ({"command": "flow-bundle", "geometry": "heisenberg", "params": {"n": 2, "c": 1e30}},
+         2, "config"),
     ], ids=["berger-lambda2-1e300", "sl2r-lambda2-1e300", "berger-lambda1-1e300",
             "berger-lambda1-int-1e30", "heisenberg-c-int-1e30", "heisenberg-c-1e-300",
             "heisenberg-n-int-1e30", "sol3-a-1e300", "be-resolution-1e30",
             "bundle-resolution-1e30", "be-extent-1e300", "be-extent-1e-300", "bundle-c-1e300",
             "bundle-c-1e-300", "numerics-400-digits", "params-400-digits", "point-400-digits",
             "sol3-h-0.65", "sol3-h-0.7", "heisenberg-h-1e300", "heisenberg-h-1e30",
-            "sol3-x-1e200", "sol3-x-1e-200"])
+            "sol3-x-1e200", "sol3-x-1e-200", "be-amplitude-1e30", "be-amplitude-1e300",
+            "bundle-c-1e30-n1", "bundle-c-1e30-n2"])
     def test_out_of_range_magnitudes(self, tmp_path, capsys, cfg, code, error):
         path = write_config(tmp_path, "big.json", cfg)
         assert main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == code
@@ -323,6 +331,18 @@ class TestCurvature:
         assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "SingularMetric" in capsys.readouterr().err
 
+    def test_second_ring_is_only_differenced(self, tmp_path, capsys):
+        # h = 0.649999999 takes the second ring to x = 2e-9, where sol3's metric
+        # is far past the condition cap but inside its domain; the oracle only
+        # differences those values, so the run completes with a huge error
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
+            "numerics": {"h": 0.649999999}})
+        assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "curvature.json").read_text())
+        assert math.isfinite(report["max_abs_error"]) and report["max_abs_error"] > 1e10
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(geometry=st.sampled_from([("heisenberg", {"n": 1}, 3), ("heisenberg", {"n": 2}, 5),
                                      ("sol3", {"a": 1.0}, 3)]),
@@ -364,6 +384,14 @@ class TestCurvature:
 
 
 class TestFlowBeAndBundle:
+    def test_step_rejected_after_the_start_exit_3(self, tmp_path, capsys):
+        # the start steps, so a later state no halved step leaves is a numeric failure
+        cfg = write_config(tmp_path, "late.json", {
+            "command": "flow-be", "params": {"N": 5},
+            "numerics": {"resolution": 14, "dt": 2.5, "t_end": 2.5, "c_cfl": 1e9}})
+        assert main(["flow-be", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert_one_error_line(capsys, "StepRejected", "halvings at t=2.07018")
+
     def test_flow_be_monitor_columns(self, tmp_path):
         cfg = write_config(tmp_path, "be.json", {
             "command": "flow-be",

@@ -153,7 +153,7 @@ def density_halving(monkeypatch) -> str:
     with pytest.raises(StepRejected) as err:
         be.be_integrate(be.BEState(MetricField(chart, g), ScalarField(chart, f), 5.0),
                         2.5, 2.5, (0, 1), c_cfl=1e9)
-    assert accepted
+    assert accepted and err.value.t == accepted[-1][0]
     arrays = [a for t, (g, f), _, _ in accepted for a in ([t], g, f)]
     return digest(*arrays) + " " + str(err.value)
 
