@@ -228,10 +228,12 @@ def heisenberg_c_of_t(n: int, c: float, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _sol3_x(a: float, c: float, x: float) -> float:
-    """x, or DomainError off sol3's domain: x > 0 with x^2, c/x^2 and a/x representable."""
+    """x, or DomainError off sol3's domain: x > 0 with x^2 and each metric
+    coefficient, c/x^2, a/x and (c + a^2)/x^2, representable."""
     if not x > 0:
         raise DomainError(f"sol3 lives on x > 0, got x = {x:g}")
-    _representable({"x^2": x * x, "c / x^2": c / x / x, "a / x": a / x})
+    _representable({"x^2": x * x, "c / x^2": c / x / x, "a / x": a / x,
+                    "(c + a^2) / x^2": (c + a * a) / x / x})
     return x
 
 

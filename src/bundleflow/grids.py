@@ -4,7 +4,8 @@ All grid data lives on a rectangular chart with periodic wrap-around in
 every axis.  Arrays store the grid axes first and tensor component axes
 last, so einsum expressions can use an ellipsis for the grid part.
 Derivatives are plain second-order central differences, gathered through
-neighbour index arrays that each chart builds once.
+neighbour index arrays that each chart builds once, except along an axis
+with one node, where they gather nothing (``deriv``, ``deriv2``).
 Fields check the values they hold where they enter: shape, finiteness and,
 for metrics, symmetry.  Whether a metric is positive definite is decided by
 ``diffgeo.spd_inverse`` alone.  A grid flow checks only its start's fields:
@@ -91,10 +92,12 @@ class PeriodicChart:
         """This chart with one node on each axis along which every array (grid
         axes first) is bitwise constant, at the same spacing and origin; the
         chart itself when there is no such axis.  On a one-node axis the
-        stencils compute what they compute at a node equal to its neighbours,
+        stencils give what they give at a node equal to its neighbours,
         (v - v) / 2h = +0.0 and ((v - 2v) + v) / h^2 = 0.0, so a flow whose
         step commutes with shifts bit for bit computes each node's bits there."""
         bits = [np.ascontiguousarray(a).view(np.int64) for a in arrays]
+        # an array equal to its node 0 everywhere is constant along every axis
+        bits = [b for b in bits if not (b == b[(0,) * self.dims]).all()]
         res = tuple(1 if all((b == b.take([0], a)).all() for b in bits) else n
                     for a, n in enumerate(self.resolution))
         if res == self.resolution:
@@ -233,26 +236,36 @@ class ConnectionField:
 # ---------------------------------------------------------------------------
 
 def deriv(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:
-    """Central difference along a chart axis: (v[i+1] - v[i-1]) / (2 h)."""
+    """Central difference along a chart axis: (v[i+1] - v[i-1]) / (2 h).  On a
+    one-node axis both neighbours are the node: zeros, the v - v of finite v."""
+    if chart.resolution[axis] == 1:
+        return np.zeros(values.shape)
     up, down = chart.neighbours[0][axis]
     return (values.take(up, axis) - values.take(down, axis)) / (2.0 * chart.spacing[axis])
 
 
 def deriv2(values: np.ndarray, chart: PeriodicChart, axis: int) -> np.ndarray:
     """Three-point second difference along one chart axis:
-    ((v[i+1] - 2 v[i]) + v[i-1]) / (h h)."""
+    ((v[i+1] - 2 v[i]) + v[i-1]) / (h h), on the array itself on a one-node
+    axis (not zero: 2 v can overflow)."""
     h = chart.spacing[axis]
+    if chart.resolution[axis] == 1:
+        return ((values - 2.0 * values) + values) / (h * h)
     up, down = chart.neighbours[0][axis]
     return (values.take(up, axis) - 2.0 * values + values.take(down, axis)) / (h * h)
 
 
 def grad(values: np.ndarray, chart: PeriodicChart) -> np.ndarray:
     """All first derivatives; the new derivative axis sits right after the grid
-    axes.  Each is ``deriv``'s difference, gathered for every axis at once."""
+    axes.  Each is ``deriv``'s difference, gathered for every axis at once, or
+    zero when every axis has one node."""
+    shape = chart.resolution + (chart.dims,) + values.shape[chart.dims:]
+    if max(chart.resolution) == 1:
+        return np.zeros(shape)
     _, (up, down), two_h = chart.neighbours
     v = values.reshape((-1,) + values.shape[chart.dims:])
     diff = (v.take(up, 0) - v.take(down, 0)).reshape(up.shape + (-1,))
-    return (diff / two_h).reshape(chart.resolution + (chart.dims,) + values.shape[chart.dims:])
+    return (diff / two_h).reshape(shape)
 
 
 def second_derivs(values: np.ndarray, chart: PeriodicChart, dvalues: np.ndarray) -> np.ndarray:
@@ -260,15 +273,20 @@ def second_derivs(values: np.ndarray, chart: PeriodicChart, dvalues: np.ndarray)
 
     ``dvalues`` is ``grad(values, chart)``.  Output shape (*grid, dims, dims,
     *tail): the mixed partial d_a d_b for a < b is ``deriv`` along a of
-    dvalues[..., b, ...], computed once and mirrored.
+    dvalues[..., b, ...], computed once and mirrored.  It is zero when a or b
+    has one node, and every one-node diagonal is ``deriv2``'s of one shared
+    (v - 2 v) + v.
     """
     d = chart.dims
-    out = np.empty(chart.resolution + (d, d) + values.shape[d:])
+    out = np.zeros(chart.resolution + (d, d) + values.shape[d:])
     idx_grid = (slice(None),) * d
-    for a in range(d):
-        out[idx_grid + (a, a)] = deriv2(values, chart, a)
-        if a + 1 < d:
-            mixed = deriv(dvalues[idx_grid + (slice(a + 1, None),)], chart, a)
-            out[idx_grid + (a, slice(a + 1, None))] = mixed
-            out[idx_grid + (slice(a + 1, None), a)] = mixed
+    wide = [a for a, n in enumerate(chart.resolution) if n > 1]
+    if len(wide) < d:
+        centre = (values - 2.0 * values) + values
+    for a, h in enumerate(chart.spacing):
+        out[idx_grid + (a, a)] = deriv2(values, chart, a) if a in wide else centre / (h * h)
+    for i, a in enumerate(wide[:-1]):
+        mixed = deriv(dvalues[idx_grid + (wide[i + 1:],)], chart, a)
+        out[idx_grid + (a, wide[i + 1:])] = mixed
+        out[idx_grid + (wide[i + 1:], a)] = mixed
     return out

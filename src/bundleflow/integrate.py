@@ -12,16 +12,18 @@ extinction guard, and what the flow forms the next step's first stage k1
 from (first same as last, like ``adaptive_rk``'s ``k_first``).  Each step
 is classical RK4 on the tuple of arrays (``rk4_step``).  A step is halved
 and retried from the same k1 while a later stage or the result has a
-metric that ``diffgeo.spd_inverse`` rejects or the result has a non-finite
-entry (``SingularMetric`` for both, naming the node); after
-``MAX_HALVINGS`` halvings ``StepRejected`` is raised.  After every
-accepted step the smallest eigenvalue of each positive-definite array is
-compared with ``EXTINCTION_RATIO`` times its initial value; at or below it
-the crossing state is recorded and the run stops with "ExtinctionGuard".
-Otherwise every ``record_every``-th state and the final one are recorded,
-built from the start's fields with the state's arrays as read-only
-broadcast views (``grids.widened``), so no field is validated after the
-start.
+non-finite entry or a metric that ``diffgeo.spd_inverse`` rejects
+(``SingularMetric`` for both, naming the node).  A later stage's arrays
+are checked before its right-hand side sees them, so every state array a
+stencil receives is finite, and the exact zeros ``grids`` gives on a
+one-node axis are the bits a gather would give.  After ``MAX_HALVINGS``
+halvings ``StepRejected`` is raised.  After every accepted step the
+smallest eigenvalue of each positive-definite array is compared with
+``EXTINCTION_RATIO`` times its initial value; at or below it the crossing
+state is recorded and the run stops with "ExtinctionGuard".  Otherwise
+every ``record_every``-th state and the final one are recorded, built from
+the start's fields with the state's arrays as read-only broadcast views
+(``grids.widened``), so no field is validated after the start.
 
 ``adaptive_rk`` is a Dormand-Prince 5(4) embedded pair with a PI step-size
 controller.  Steps are clamped to requested sample times (if any), every
@@ -85,30 +87,35 @@ def rk4_step(f: Callable, y: tuple, dt: float, k1: tuple) -> tuple:
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
-def _require_finite(chart, y: tuple) -> None:
-    """Reject a step result with a non-finite entry, naming the first such
-    node as ``spd_inverse`` names the nodes it rejects."""
+def _require_finite(chart, y: tuple) -> tuple:
+    """y, or SingularMetric naming the first node where a stage state or step
+    result is not finite, as ``spd_inverse`` names the nodes it rejects."""
     for a in y:
         finite = np.isfinite(a)
         if not finite.all():
             at_node = finite.reshape(chart.resolution + (-1,)).all(-1)
             node = tuple(int(i) for i in np.unravel_index(np.argmin(at_node), chart.resolution))
-            raise SingularMetric(f"step result has a non-finite entry at node {node}")
+            raise SingularMetric(f"step has a non-finite entry at node {node}")
+    return y
 
 
 def rk4_halving(stages: Callable, factor: Callable, chart, state: tuple, dt: float) -> tuple:
     """The accepted state after ``state`` = (t, y, min_eigs, reuse): one RK4
-    step, halved while a later stage or the result is rejected, every retry
-    from the same k1.  ``stages(chart, y, reuse)`` gives k1 and the
-    right-hand side of the later stages; ``factor(chart, y)`` gives
-    (min_eigs, reuse) of a finite result.  Raises StepRejected after
-    ``MAX_HALVINGS`` halvings.
+    step, halved while a later stage (checked finite before its right-hand
+    side sees it) or the result is rejected, every retry from the same k1.
+    ``stages(chart, y, reuse)`` gives k1 and the right-hand side of the
+    later stages; ``factor(chart, y)`` gives (min_eigs, reuse) of a finite
+    result.  Raises StepRejected after ``MAX_HALVINGS`` halvings.
     """
     t, y, _, reuse = state
     k1, rhs = stages(chart, y, reuse)
+
+    def gated(s):
+        return rhs(_require_finite(chart, s))
+
     for _ in range(MAX_HALVINGS + 1):
         try:
-            y_new = rk4_step(rhs, y, dt, k1)
+            y_new = rk4_step(gated, y, dt, k1)
             _require_finite(chart, y_new)
             return (t + dt, y_new, *factor(chart, y_new))
         except SingularMetric:

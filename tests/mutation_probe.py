@@ -48,6 +48,7 @@ MUTANTS = {
     "dp-accept-test": ("integrate", "if err <= 1.0:", "if err <= 10.0:"),
     # integrate: the finiteness gate of a grid step's result
     "finite-gate-dropped": ("integrate", "_require_finite(chart, y_new)", "None"),
+    "stage-gate-dropped": ("integrate", "return rhs(_require_finite(chart, s))", "return rhs(s)"),
     "finite-gate-any-node": ("integrate", "if not finite.all():", "if not finite.any():"),
     # diffgeo
     "christoffel-lowered-sign": ("diffgeo", "low = dg_n + np.swapaxes(dg_n, -1, -2) - dg",
@@ -65,10 +66,22 @@ MUTANTS = {
     "deriv2-centre": ("grids", "- 2.0 * values + values.take", "- values + values.take"),
     "grad-direction": ("grids", "diff = (v.take(up, 0) - v.take(down, 0))",
                        "diff = (v.take(down, 0) - v.take(up, 0))"),
-    "mixed-partial-mirror": ("grids", "out[idx_grid + (slice(a + 1, None), a)] = mixed",
-                             "out[idx_grid + (slice(a + 1, None), a)] = -mixed"),
+    "mixed-partial-mirror": ("grids", "out[idx_grid + (wide[i + 1:], a)] = mixed",
+                             "out[idx_grid + (wide[i + 1:], a)] = -mixed"),
     "stencil-index": ("grids", "(np.arange(n) - 1) % n", "(np.arange(n) - 2) % n"),
+    # grids: the one-node axis rule of the stencils
+    "deriv-one-node-zeros": ("grids", "return np.zeros(values.shape)",
+                             "return np.ones(values.shape)"),
+    "deriv2-one-node-zeros": ("grids", "return ((values - 2.0 * values) + values) / (h * h)",
+                              "return np.zeros(values.shape)"),
+    "grad-one-node-zeros": ("grids", "return np.zeros(shape)", "return np.ones(shape)"),
+    "second-derivs-start": ("grids", "out = np.zeros(chart.resolution",
+                            "out = np.ones(chart.resolution"),
+    "second-derivs-one-node-centre": ("grids", "centre = (values - 2.0 * values) + values",
+                                      "centre = np.zeros(values.shape)"),
     # grids: the constancy test of PeriodicChart.collapsed
+    "collapse-node-zero-first-slice": ("grids", "if not (b == b[(0,) * self.dims]).all()",
+                                       "if not (b[:1] == b[(0,) * self.dims]).all()"),
     "collapse-value-compare": ("grids", "np.ascontiguousarray(a).view(np.int64)",
                                "np.ascontiguousarray(a)"),
     "collapse-first-two-slices": ("grids", "(b == b.take([0], a)).all()",

@@ -252,7 +252,8 @@ class TestBundleAt:
 
     @pytest.mark.parametrize("a, c, x, name", [
         (1.0, 1.0, 1e200, "x^2"), (1.0, 1.0, 1e-200, "x^2"),
-        (1.0, 1e10, 1e-150, "c / x^2"), (1.0, 1e-10, 1e150, "c / x^2")])
+        (1.0, 1e10, 1e-150, "c / x^2"), (1.0, 1e-10, 1e150, "c / x^2"),
+        (1e150, 1.0, 1e-10, "(c + a^2) / x^2")])
     def test_sol3_unrepresentable_point_rejected(self, a, c, x, name):
         with pytest.raises(DomainError, match=re.escape(f"{name} = ")):
             sol3_pointwise_data(a, c, x)

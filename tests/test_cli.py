@@ -91,6 +91,18 @@ class TestConfigValidation:
         })
         assert main(["plot", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("content, named", [
+        (None, "cannot read config"),
+        ("{not json", "not valid JSON"),
+        ("[1]", "must be a JSON object"),
+    ], ids=["missing-file", "invalid-json", "not-an-object"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, content, named):
+        path = tmp_path / "entry.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["flow-ode", "--config", str(path)]) == 2
+        assert_one_error_line(capsys, "config", named)
+
     def test_missing_required_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "m2.json", {"command": "flow-ode"})
         assert main(["flow-ode", "--config", cfg]) == 2
@@ -262,6 +274,9 @@ class TestConfigValidation:
           "point": [1e200, 0.2, 0.1]}, 2, "config"),
         ({"command": "curvature", "geometry": "sol3", "params": {"a": 1.0, "c": 1.0},
           "point": [1e-200, 0.2, 0.1]}, 2, "config"),
+        # x^2, c / x^2 and a / x are normal there, (c + a^2) / x^2 overflows
+        ({"command": "curvature", "geometry": "sol3", "params": {"a": 1e150, "c": 1.0},
+          "point": [1e-10, 0.2, 0.1]}, 2, "config"),
         # a start no step can take, however far it is halved, is bad input
         ({"command": "flow-be", "params": {"N": 5, "amplitude": 1e30}}, 2, "config"),
         ({"command": "flow-be", "params": {"N": 5, "amplitude": 1e300}}, 2, "config"),
@@ -275,7 +290,8 @@ class TestConfigValidation:
             "bundle-resolution-1e30", "be-extent-1e300", "be-extent-1e-300", "bundle-c-1e300",
             "bundle-c-1e-300", "numerics-400-digits", "params-400-digits", "point-400-digits",
             "sol3-h-0.65", "sol3-h-0.7", "heisenberg-h-1e300", "heisenberg-h-1e30",
-            "sol3-x-1e200", "sol3-x-1e-200", "be-amplitude-1e30", "be-amplitude-1e300",
+            "sol3-x-1e200", "sol3-x-1e-200", "sol3-a-squared-over-x-squared",
+            "be-amplitude-1e30", "be-amplitude-1e300",
             "bundle-c-1e30-n1", "bundle-c-1e30-n2"])
     def test_out_of_range_magnitudes(self, tmp_path, capsys, cfg, code, error):
         path = write_config(tmp_path, "big.json", cfg)

@@ -182,6 +182,35 @@ class TestDerivatives:
             assert same(dv, roll_grad(v, chart))
             assert same(second_derivs(v, chart, dv), roll_second_derivs(v, chart))
 
+    # every chart has at most one axis with more than one node, so each mixed
+    # partial pairs it with a one-node axis: zero, as a gather gives it while
+    # the first differences along the wide axis stay finite (spacing >= 1 and
+    # the large entries all positive)
+    @pytest.mark.parametrize("res", [(8, 1), (1, 8, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("tail", [(4,), (2, 3)])
+    def test_one_node_axes_equal_rolled_differences_bitwise(self, res, tail):
+        rng = np.random.default_rng(sum(res) + len(tail))
+        chart = PeriodicChart(tuple(n * rng.uniform(1.0, 3.0) for n in res), res)
+        shape = chart.resolution + tail
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-10, 10, size=shape)
+        pick = rng.permutation(np.arange(v.size) % 4).reshape(shape)
+        v[pick == 0] = -0.0
+        v[pick == 1] = rng.uniform(0.5, 1.0, size=shape)[pick == 1] * np.finfo(float).max
+
+        def same(a, b):
+            return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+        with np.errstate(over="ignore"):
+            for a in range(chart.dims):
+                assert same(deriv(v, chart, a), roll_deriv(v, chart, a))
+                assert same(deriv2(v, chart, a), roll_deriv2(v, chart, a))
+                if res[a] == 1:
+                    # (v - 2 v) + v: 2 v overflows above max / 2
+                    assert np.all(deriv2(v, chart, a)[pick == 1] == -np.inf)
+            dv = grad(v, chart)
+            assert same(dv, roll_grad(v, chart))
+            assert same(second_derivs(v, chart, dv), roll_second_derivs(v, chart))
+
     def test_grad_axis_layout(self):
         c = chart2d(32)
         xy = c.grid_coords()
@@ -223,6 +252,34 @@ class TestCollapsedChart:
         assert c.collapsed(v).resolution == (8, 8)
         v[:, 2] = 2.0
         assert c.collapsed(v).resolution == (1, 8)
+
+    @staticmethod
+    def per_axis(chart, *arrays):
+        """The resolution an axis-by-axis comparison of every array gives."""
+        bits = [np.ascontiguousarray(a).view(np.int64) for a in arrays]
+        return tuple(1 if all((b == b.take([0], a)).all() for b in bits) else n
+                     for a, n in enumerate(chart.resolution))
+
+    @pytest.mark.parametrize("kinds", [
+        ("constant", "constant"), ("constant", "along-x"), ("along-z", "constant"),
+        ("along-x", "along-z"), ("varying", "constant"), ("signed-zero", "constant")])
+    def test_node_zero_check_keeps_the_per_axis_chart(self, kinds):
+        # an array constant everywhere is read once, not once per axis; the
+        # chart is the one the axis-by-axis comparison gives
+        c = PeriodicChart((2.0, 3.0, 1.5), (8, 12, 10))
+        x = c.grid_coords()
+        starts = {"constant": np.full(c.resolution + (2, 2), 0.5),
+                  "along-x": np.sin(x[..., 0]), "along-z": np.cos(x[..., 2])[..., None],
+                  "varying": x.sum(-1), "signed-zero": np.zeros(c.resolution)}
+        starts["signed-zero"][3, 4, 5] = -0.0
+        arrays = [starts[k] for k in kinds]
+        want = self.per_axis(c, *arrays)
+        got = c.collapsed(*arrays)
+        assert got.resolution == want
+        if want == c.resolution:
+            assert got is c
+        else:
+            assert got.spacing == c.spacing and got.origin == c.origin
 
     def test_one_node_axis_stencils_are_exactly_zero(self):
         # on a one-node axis the stencils give +0.0 and the other axes the bits

@@ -530,6 +530,57 @@ class TestOneFactorizationPerAcceptedState:
         assert states[1].t == 5e-4
 
 
+class TestStageGate:
+    """A later stage's arrays are checked finite before its right-hand side
+    sees them, so a stencil never receives a non-finite state array and its
+    exact zeros on a one-node axis are the bits a gather gives."""
+
+    @pytest.mark.parametrize("state0, steps, index", [
+        (density_state, density_steps, 1),
+        (bundle_state, bundle_steps, 2),
+        (lambda: BundleState(*x_only_fields(17), 0.0), bundle_steps, 2),
+    ], ids=["density", "bundle-connection", "x-only-connection"])
+    def test_non_finite_stage_is_halved_before_any_stencil_runs(self, monkeypatch, state0,
+                                                                 steps, index):
+        # stage 2 of the first attempt returns a NaN rate of the density or
+        # the connection, so stage 3's state holds a NaN there
+        def finite_only(name, fn):
+            def checked(values, *args):
+                assert np.isfinite(values).all(), f"{name} received a non-finite array"
+                return fn(values, *args)
+            return checked
+
+        for name in ("deriv", "deriv2", "grad", "second_derivs"):
+            original = getattr(grids, name)
+            for module in [m for k, m in sys.modules.items() if k.startswith("bundleflow")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, finite_only(name, original))
+        tried, rates = [], [0]
+        rk4_step = integrate.rk4_step
+
+        def poisoned(f, y, dt, k1):
+            tried.append(dt)
+
+            def stage(s):
+                k = f(s)
+                rates[0] += 1
+                if rates[0] == 1:
+                    bad = k[index].copy()
+                    bad.flat[0] = np.nan
+                    k = k[:index] + (bad,) + k[index + 1:]
+                return k
+
+            return rk4_step(stage, y, dt, k1)
+
+        monkeypatch.setattr(integrate, "rk4_step", poisoned)
+        step, state = steps(state0())
+        t, arrays, _, _ = step(state, 1e-3)
+        assert tried == [1e-3, 5e-4] and t == 5e-4
+        # stage 2 of the first attempt and three stages of the second
+        assert rates[0] == 4
+        assert all(np.isfinite(a).all() for a in arrays)
+
+
 class TestCollapsedRun:
     """A flow runs on its start's collapsed chart to the bits that its
     stages and factor, stepped by hand on the full chart, give at every node."""

@@ -99,3 +99,15 @@ class TestParseErrors:
         path.write_text("# only: metadata\n")
         with pytest.raises(TraceParseError):
             read_trace(str(path))
+
+    @pytest.mark.parametrize("content, line, message", [
+        ("t,u\n0.0,1.0\n# late: 1\n", 3, "metadata after the header"),
+        ("# n: 1\n\n# no colon here\nt,u\n", 3, "malformed metadata line 'no colon here'"),
+        ("# n: 1\nt,,u\n", 2, "empty column name"),
+    ], ids=["metadata-after-header", "metadata-without-colon", "empty-column-name"])
+    def test_header_and_metadata_errors_report_line(self, tmp_path, content, line, message):
+        path = tmp_path / "bad4.csv"
+        path.write_text(content)
+        with pytest.raises(TraceParseError, match=message) as err:
+            read_trace(str(path))
+        assert err.value.line == line
